@@ -49,7 +49,6 @@ from .errors import (
     ZeroCarrierError,
 )
 from .field import (
-    InputNoise,
     PolarizationBasis,
     PolarizationMode,
     SpectralMatrix,
@@ -97,7 +96,6 @@ __all__ = [
     "DiffusionMatrix",
     "DriveConfig",
     "GridSpec",
-    "InputNoise",
     "InternalConsistencyError",
     "LevelScheme",
     "Liouvillian",

@@ -1,8 +1,11 @@
 """Command-line front end.
 
-    zeenoise run <scenario.ini> [--out DIR] [--threads N]
-    zeenoise run --preset fig2 [--out DIR] [--threads N]
+    zeenoise run <scenario.ini> [--out DIR]
+    zeenoise run --preset fig2 [--out DIR]
     zeenoise validate <scenario.ini>
+
+`run` also accepts `--threads N` so that older scripts keep working; it
+has no effect.
 
 Exit codes: 0 success; 2 configuration problem (parse error or failed
 validation, with file/section/key context); 3 physics failure (degenerate
@@ -72,7 +75,7 @@ def build_parser():
         "--threads",
         type=int,
         default=None,
-        help="worker-thread cap for frequency points (default: all cores)",
+        help="accepted for compatibility; has no effect",
     )
 
     val = sub.add_parser("validate", help="static checks on a scenario file")
@@ -129,7 +132,7 @@ def _cmd_run(args):
                 print(f"error: {scenario.name}: {e}", file=sys.stderr)
             return EXIT_CONFIG
         try:
-            written.extend(run_scenario(scenario, out_dir, threads=args.threads))
+            written.extend(run_scenario(scenario, out_dir))
         except (
             DegenerateSteadyStateError,
             StationarityError,

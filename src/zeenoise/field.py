@@ -97,25 +97,6 @@ class SpectralMatrix:
         )
 
 
-@dataclass(frozen=True)
-class InputNoise:
-    """White excess noise of the driven input component above vacuum.
-
-    eps_a / eps_p are the fractional excesses of the amplitude and phase
-    quadrature variances; both zero reproduces the coherent state.
-    """
-
-    eps_a: float = 0.0
-    eps_p: float = 0.0
-
-    def __post_init__(self):
-        if self.eps_a < 0 or self.eps_p < 0:
-            raise ArgumentError("excess-noise fractions must be >= 0")
-
-    def matrix(self):
-        return excess_noise_input(self.eps_a, self.eps_p)
-
-
 def coherent_input_matrix():
     """Shot-noise-normalized coherent-state input: [[1,0],[0,0]]."""
     return SpectralMatrix(1.0 + 0j, 0j, 0j, 0j)

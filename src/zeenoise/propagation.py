@@ -57,7 +57,6 @@ class OutputField:
     phi: dict              # component -> dephasing angle (radians)
     spectra: dict          # component -> SpectralMatrix (arrays over grid)
     atomic: dict           # component -> atomic contribution alone
-    cross: SpectralMatrix = None  # e1 x e2 correlation block, on request
 
 
 def _resolvent(drift, omega):
@@ -96,7 +95,6 @@ def propagate(
     diffusion,
     steady,
     grid,
-    include_cross=False,
 ):
     """Push the input field through the thin atomic sample.
 
@@ -123,7 +121,6 @@ def propagate(
         c: [np.zeros(shape, dtype=complex) for _ in range(4)]
         for c in _POLARIZATION_COMPONENTS
     }
-    cross_entries = [np.zeros(shape, dtype=complex) for _ in range(4)] if include_cross else None
 
     if b0 > 0:
         kernel_cache = {}
@@ -142,13 +139,6 @@ def propagate(
                 at[comp][1][i] = -k2 * (lo @ c_plus @ lo)   # S12
                 at[comp][2][i] = -k2 * (dg @ c_plus @ dg)   # S21
                 at[comp][3][i] = k2 * (dg @ c_plus @ lo)    # S22
-            if include_cross:
-                lo1, dg1 = proj_low[1], proj_dag[1]
-                lo2, dg2 = proj_low[2], proj_dag[2]
-                cross_entries[0][i] = k2 * (dg2 @ c_minus @ lo1)
-                cross_entries[1][i] = -k2 * (lo1 @ c_plus @ lo2)
-                cross_entries[2][i] = -k2 * (dg1 @ c_plus @ dg2)
-                cross_entries[3][i] = k2 * (dg1 @ c_plus @ lo2)
 
     atomic = {
         c: SpectralMatrix(*(at[c][k] for k in range(4)), grid=grid)
@@ -164,16 +154,12 @@ def propagate(
         carrier[comp] = np.exp(1j * chi) if comp == 1 else 0.0j
         phi[comp] = float(chi.real)
 
-    cross = (
-        SpectralMatrix(*cross_entries, grid=grid) if include_cross else None
-    )
     return OutputField(
         grid=grid,
         carrier=carrier,
         phi=phi,
         spectra=spectra,
         atomic=atomic,
-        cross=cross,
     )
 
 
@@ -189,8 +175,10 @@ def _carrier_susceptibility(rho, op, drive, b0, scheme):
 def dephasing(steady, drive, b0, scheme):
     """Carrier dephasing angle Phi of the driven component (radians).
 
-    Phi = Re[(b0*gamma/2) <D1>/Omega1]; exactly linear in b0, zero for a
-    resonantly driven two-level system (purely absorptive response).
+    Phi = Re chi, the real part of the carrier susceptibility that
+    `propagate` applies, chi = (b0*gamma/2) <D1>/Omega1; exactly linear in
+    b0, zero for a resonantly driven two-level system (purely absorptive
+    response).
     """
     if b0 < 0:
         raise ArgumentError("b0 must be >= 0")
@@ -198,6 +186,4 @@ def dephasing(steady, drive, b0, scheme):
         raise ArgumentError("dephasing undefined at zero Rabi frequency")
     rho = getattr(steady, "rho", steady)
     op = drive.basis.driven_operator(scheme)
-    return float(
-        (0.5 * b0 * scheme.gamma * np.trace(rho @ op) / drive.rabi).real
-    )
+    return float(_carrier_susceptibility(rho, op, drive, b0, scheme).real)

@@ -10,13 +10,10 @@ requests an explicit angle). Observables that do not apply are left as
 empty fields, never written as zeros. Each CSV gets a JSON sidecar holding
 every input parameter, the convention tags, and the carrier/dephasing
 values, so any number in the table can be recomputed from the sidecar
-alone. The pipeline is deterministic: no randomness anywhere, and the
-thread-level partition concatenates per-frequency results in grid order, so
-outputs are bit-identical for any --threads value.
+alone. The pipeline is deterministic: no randomness anywhere, and one loop
+over the grid computes every frequency point, so reruns are bit-identical.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +38,7 @@ from .observables import (
     quadrature_noise,
 )
 from .oracles import mollow_spectrum, qrt_spectrum
-from .propagation import MediumParams, OutputField, propagate
+from .propagation import MediumParams, propagate
 
 BASE_COLUMNS = ("omega_over_gamma", "s_opt_e1", "s_opt_e2", "s_x_e1", "s_x_e2")
 ORACLE_COLUMNS = {
@@ -61,7 +58,7 @@ class PointResult:
     metadata: dict
 
 
-def compute_point(scenario, threads=None):
+def compute_point(scenario):
     """Run the full pipeline for one (effective) scenario."""
     if scenario.grid is None:
         raise ArgumentError("scenario has no frequency grid")
@@ -77,9 +74,7 @@ def compute_point(scenario, threads=None):
     medium = MediumParams(b0=scenario.b0)
     grid = scenario.grid.build()
 
-    out = _propagate_partitioned(
-        input_matrix, medium, liou, diff, steady, grid, threads
-    )
+    out = propagate(input_matrix, medium, liou, diff, steady, grid)
 
     if scenario.quadrature_theta is not None:
         theta = float(scenario.quadrature_theta)
@@ -154,44 +149,6 @@ def _column_order(scenario):
     return order
 
 
-def _propagate_partitioned(
-    input_matrix, medium, liou, diff, steady, grid, threads
-):
-    """propagate(), statically partitioned over contiguous grid chunks."""
-    if threads is None or threads <= 0:
-        threads = os.cpu_count() or 1
-    threads = max(1, min(int(threads), grid.size))
-    if threads == 1:
-        return propagate(input_matrix, medium, liou, diff, steady, grid)
-    chunks = np.array_split(grid, threads)
-
-    def work(chunk):
-        return propagate(input_matrix, medium, liou, diff, steady, chunk)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(work, chunks))
-
-    def stitch_sm(pick):
-        return type(pick(parts[0]))(
-            np.concatenate([np.atleast_1d(pick(p).s11) for p in parts]),
-            np.concatenate([np.atleast_1d(pick(p).s12) for p in parts]),
-            np.concatenate([np.atleast_1d(pick(p).s21) for p in parts]),
-            np.concatenate([np.atleast_1d(pick(p).s22) for p in parts]),
-            grid=grid,
-        )
-
-    spectra = {c: stitch_sm(lambda p, c=c: p.spectra[c]) for c in (1, 2)}
-    atomic = {c: stitch_sm(lambda p, c=c: p.atomic[c]) for c in (1, 2)}
-    return OutputField(
-        grid=grid,
-        carrier=parts[0].carrier,
-        phi=parts[0].phi,
-        spectra=spectra,
-        atomic=atomic,
-        cross=None,
-    )
-
-
 def _format(value):
     return f"{value:.17g}"
 
@@ -220,7 +177,7 @@ def write_point(result, out_dir, label):
     return [csv_path, json_path]
 
 
-def run_scenario(scenario, out_dir, threads=None):
+def run_scenario(scenario, out_dir):
     """Compute and write one table per sweep value; returns written paths."""
     written = []
     for value in scenario.sweep_values():
@@ -230,7 +187,7 @@ def run_scenario(scenario, out_dir, threads=None):
         else:
             label = f"{scenario.name}_{scenario.sweep.parameter}_{value:g}"
         try:
-            result = compute_point(effective, threads=threads)
+            result = compute_point(effective)
         except (
             DegenerateSteadyStateError,
             StationarityError,

@@ -250,32 +250,21 @@ def load_scenario(path):
 
 
 def validate_scenario(scenario):
-    """Check physical ranges. Returns (warnings, errors) as string lists."""
+    """Check physical ranges. Returns (warnings, errors) as string lists.
+
+    The per-parameter range checks run on every effective point, that is
+    on each sweep value substituted into the scenario, so a bad sweep value
+    is caught before anything is computed.
+    """
     warnings = []
     errors = []
 
-    try:
-        LevelScheme(fg=scenario.fg, fe=scenario.fe, gamma=scenario.gamma)
-    except ArgumentError as exc:
-        errors.append(f"transition: {exc}")
-
-    if scenario.rabi < 0:
-        errors.append(f"drive.rabi must be >= 0, got {scenario.rabi}")
-    elif scenario.rabi == 0 and not _sweeps(scenario, "rabi"):
-        warnings.append("drive.rabi is 0: the field is undriven vacuum")
-
-    if scenario.b0 < 0:
-        errors.append(f"medium.b0 must be >= 0, got {scenario.b0}")
-    elif scenario.b0 > 0.5:
-        warnings.append(
-            f"medium.b0 = {scenario.b0} exceeds the dilute/thin-sample "
-            "domain (b0 <= 0.5); results are extrapolations"
-        )
-
-    for key in ("eps_a", "eps_p"):
-        value = getattr(scenario, key)
-        if value < 0:
-            errors.append(f"input.{key} must be >= 0, got {value}")
+    points = [scenario]
+    sweep = scenario.sweep
+    if sweep is not None and sweep.parameter in _SWEEPABLE and sweep.values:
+        points = [scenario.with_sweep_value(v) for v in sweep.values]
+    for point in points:
+        _check_ranges(point, warnings, errors)
 
     if scenario.grid is None:
         errors.append("missing [grid] section: omega_min/omega_max/count")
@@ -289,7 +278,7 @@ def validate_scenario(scenario):
             )
         if g.omega_min >= g.omega_max:
             errors.append(
-                f"gridbounds are inverted: omega_min = {g.omega_min} >= "
+                f"grid bounds are inverted: omega_min = {g.omega_min} >= "
                 f"omega_max = {g.omega_max}"
             )
         if g.count >= 2 and g.omega_min < g.omega_max and not (
@@ -310,18 +299,6 @@ def validate_scenario(scenario):
             )
         if len(scenario.sweep.values) == 0:
             errors.append("sweep.values is empty")
-        if scenario.sweep.parameter in ("b0", "eps_a", "eps_p") and any(
-            v < 0 for v in scenario.sweep.values
-        ):
-            errors.append(
-                f"sweep over {scenario.sweep.parameter} contains negative values"
-            )
-        if scenario.sweep.parameter == "b0" and any(
-            v > 0.5 for v in scenario.sweep.values
-        ):
-            warnings.append(
-                "sweep over b0 leaves the dilute/thin-sample domain (b0 > 0.5)"
-            )
 
     if "mollow" in scenario.oracles and scenario.polarization != "circular":
         warnings.append(
@@ -329,8 +306,30 @@ def validate_scenario(scenario):
             "drive; its column will be left empty for this scenario"
         )
 
-    return warnings, errors
+    return list(dict.fromkeys(warnings)), list(dict.fromkeys(errors))
 
 
-def _sweeps(scenario, parameter):
-    return scenario.sweep is not None and scenario.sweep.parameter == parameter
+def _check_ranges(point, warnings, errors):
+    """Append the range problems of one effective scenario point."""
+    try:
+        LevelScheme(fg=point.fg, fe=point.fe, gamma=point.gamma)
+    except ArgumentError as exc:
+        errors.append(f"transition: {exc}")
+
+    if point.rabi < 0:
+        errors.append(f"drive.rabi must be >= 0, got {point.rabi}")
+    elif point.rabi == 0:
+        warnings.append("drive.rabi is 0: the field is undriven vacuum")
+
+    if point.b0 < 0:
+        errors.append(f"medium.b0 must be >= 0, got {point.b0}")
+    elif point.b0 > 0.5:
+        warnings.append(
+            f"medium.b0 = {point.b0} exceeds the dilute/thin-sample "
+            "domain (b0 <= 0.5); results are extrapolations"
+        )
+
+    for key in ("eps_a", "eps_p"):
+        value = getattr(point, key)
+        if value < 0:
+            errors.append(f"input.{key} must be >= 0, got {value}")

@@ -5,7 +5,6 @@ import pytest
 
 from zeenoise import (
     ArgumentError,
-    InputNoise,
     LevelScheme,
     PolarizationBasis,
     PolarizationMode,
@@ -59,13 +58,10 @@ def test_excess_noise_is_linear_in_fractions():
 def test_negative_fractions_rejected():
     with pytest.raises(ArgumentError):
         excess_noise_input(-0.1, 0.0)
-    with pytest.raises(ArgumentError):
-        InputNoise(eps_a=0.0, eps_p=-1.0)
 
 
 def test_input_noise_matrix_roundtrip():
-    noise = InputNoise(eps_a=0.5, eps_p=2.0)
-    m = noise.matrix()
+    m = excess_noise_input(0.5, 2.0)
     assert m.s22 == pytest.approx((0.5 + 2.0) / 4)
     assert m.s12 == pytest.approx((0.5 - 2.0) / 4)
 

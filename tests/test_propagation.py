@@ -3,20 +3,25 @@
 import numpy as np
 import pytest
 
+import zeenoise.propagation
 from zeenoise import (
     ArgumentError,
     DriveConfig,
+    GridSpec,
     LevelScheme,
     MediumParams,
     PolarizationBasis,
     PolarizationMode,
+    Scenario,
     amplitude_quadrature_angle,
     atomic_response,
     build_generator,
     coherent_input_matrix,
+    compute_point,
     dephasing,
     diffusion_matrix,
     excess_noise_input,
+    operator_projection,
     propagate,
     steady_state,
     two_level_reference,
@@ -131,11 +136,47 @@ def test_circular_drive_adds_nothing_to_orthogonal_mode():
 
 
 def test_cross_polarization_correlations_vanish():
-    """Magnetic-number conservation kills e1 x e2 correlations."""
+    """Magnetic-number conservation kills e1 x e2 correlations.
+
+    The e1 x e2 block is formed from the fluctuation kernel exactly as
+    propagate forms each component's own block, with k2 = b0*gamma/4.
+    """
+    k2 = 0.25 * 0.2
     for mode in ("circular", "linear"):
-        out = run(mode, 1.0, 0.5, b0=0.2, include_cross=True)
-        for key in ("s11", "s12", "s21", "s22"):
-            assert np.abs(np.asarray(getattr(out.cross, key))).max() < 1e-14
+        scheme, liou, steady, diff = system(mode, 1.0, 0.5)
+        ops = {c: liou.drive.basis.operator(scheme, c) for c in (1, 2)}
+        lo = {c: operator_projection(ops[c]) for c in ops}
+        dg = {c: operator_projection(ops[c].conj().T) for c in ops}
+        for w in GRID:
+            c_plus = atomic_response(liou, diff, w)[1]
+            c_minus = atomic_response(liou, diff, -w)[1]
+            cross = (
+                k2 * (dg[2] @ c_minus @ lo[1]),   # S11
+                -k2 * (lo[1] @ c_plus @ lo[2]),   # S12
+                -k2 * (dg[1] @ c_plus @ dg[2]),   # S21
+                k2 * (dg[1] @ c_plus @ lo[2]),    # S22
+            )
+            assert max(abs(entry) for entry in cross) < 1e-14
+
+
+def test_symmetrized_grid_evaluates_each_kernel_once(monkeypatch):
+    """compute_point reuses the +-Omega kernels of a symmetrized grid."""
+    calls = []
+    original = zeenoise.propagation.atomic_response
+
+    def counting(liouvillian, diffusion, omega):
+        calls.append(omega)
+        return original(liouvillian, diffusion, omega)
+
+    monkeypatch.setattr(zeenoise.propagation, "atomic_response", counting)
+    grid = GridSpec(0.1, 2.0, 4, "linear", symmetrize=True)
+    scenario = Scenario(
+        name="sym", fg=1, fe=2, gamma=1.0, polarization="linear",
+        rabi=1.0, detuning=0.0, b0=0.1, grid=grid,
+    )
+    compute_point(scenario)
+    assert len(calls) == grid.build().size == 8
+    assert sorted(calls) == sorted(grid.build())
 
 
 def test_even_in_frequency_on_resonance():

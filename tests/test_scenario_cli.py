@@ -215,6 +215,27 @@ class TestValidation:
         _, errors = validate_scenario(s)
         assert any("sweep" in e for e in errors)
 
+    def test_inverted_grid_bounds_is_error(self, tmp_path):
+        s = self.base(tmp_path, **{"omega_min = 1e-3": "omega_min = 5.0"})
+        _, errors = validate_scenario(s)
+        assert any("grid bounds are inverted" in e for e in errors)
+
+    def test_negative_sweep_value_is_error(self, tmp_path):
+        s = self.base(tmp_path, **{"values = 0.5, 1.0": "values = 1 -0.5"})
+        _, errors = validate_scenario(s)
+        assert errors == ["drive.rabi must be >= 0, got -0.5"]
+
+    def test_sweep_value_messages_reported_once(self, tmp_path):
+        s = self.base(
+            tmp_path,
+            **{
+                "parameter = rabi": "parameter = b0",
+                "values = 0.5, 1.0": "values = -1 -1 0.1",
+            },
+        )
+        _, errors = validate_scenario(s)
+        assert errors == ["medium.b0 must be >= 0, got -1.0"]
+
 
 NOSWEEP = """
 [transition]
@@ -324,6 +345,14 @@ class TestCli:
         scn = write(tmp_path, NOSWEEP, name="v.ini")
         assert main(["validate", str(scn)]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_negative_sweep_value_exits_2_without_output(self, tmp_path):
+        text = GOOD.replace("values = 0.5, 1.0", "values = 1 -0.5")
+        scn = write(tmp_path, text, name="negsweep.ini")
+        out = tmp_path / "results"
+        assert main(["validate", str(scn)]) == 2
+        assert main(["run", str(scn), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_validate_broken_exits_2(self, tmp_path, capsys):
         text = NOSWEEP.replace("b0 = 0.1", "b0 = -2")
