@@ -8,6 +8,7 @@ Condon-Shortley phases throughout.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, sqrt
 
 import numpy as np
@@ -161,6 +162,13 @@ def dipole_component(scheme, q):
     """
     if q not in (-1, 0, 1):
         raise ArgumentError(f"q must be -1, 0, or +1, got {q!r}")
+    return _dipole_table(scheme.fg, scheme.fe, q).copy()
+
+
+@lru_cache(maxsize=None)
+def _dipole_table(fg, fe, q):
+    """d_q for Fg -> Fe, built once per process (it does not depend on gamma)."""
+    scheme = LevelScheme(fg, fe)
     d = np.zeros((scheme.n, scheme.n))
     for mg in scheme.ground_m_values():
         me = mg + q

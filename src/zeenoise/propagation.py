@@ -7,7 +7,9 @@ response to the Langevin forces through the resolvent R(Omega) =
     C(Omega) = R(Omega) . 2D . R(-Omega)^T,
 
 from which any two-operator fluctuation spectrum FT<dA(t) dB(0)> is the
-projection a^T C(Omega) b. The mean field is taken z-independent across the
+projection a^T C(Omega) b. `propagate` inverts each resolvent R(+-|Omega|)
+once per distinct |Omega| of the grid, and the pair feeds both C(+|Omega|)
+and C(-|Omega|). The mean field is taken z-independent across the
 (optically thin) sample and back-action of field fluctuations on the atoms
 is neglected, so the output spectral matrix is the input plus an atomic term
 linear in b0, with no input/force cross terms.
@@ -123,22 +125,20 @@ def propagate(
     }
 
     if b0 > 0:
-        kernel_cache = {}
-
-        def kernel(w):
-            if w not in kernel_cache:
-                kernel_cache[w] = atomic_response(liouvillian, diffusion, w)[1]
-            return kernel_cache[w]
-
-        for i, w in enumerate(grid):
-            c_plus = kernel(w)
-            c_minus = kernel(-w)
-            for comp in _POLARIZATION_COMPONENTS:
-                lo, dg = proj_low[comp], proj_dag[comp]
-                at[comp][0][i] = k2 * (dg @ c_minus @ lo)   # S11
-                at[comp][1][i] = -k2 * (lo @ c_plus @ lo)   # S12
-                at[comp][2][i] = -k2 * (dg @ c_plus @ dg)   # S21
-                at[comp][3][i] = k2 * (dg @ c_plus @ lo)    # S22
+        two_d = diffusion.two_d
+        for w in np.unique(np.abs(grid)):
+            r_plus = _resolvent(liouvillian.drift, w)
+            r_minus = _resolvent(liouvillian.drift, -w)
+            kernel = {w: r_plus @ two_d @ r_minus.T, -w: r_minus @ two_d @ r_plus.T}
+            for i in np.flatnonzero(np.abs(grid) == w):
+                c_plus = kernel[grid[i]]
+                c_minus = kernel[-grid[i]]
+                for comp in _POLARIZATION_COMPONENTS:
+                    lo, dg = proj_low[comp], proj_dag[comp]
+                    at[comp][0][i] = k2 * (dg @ c_minus @ lo)   # S11
+                    at[comp][1][i] = -k2 * (lo @ c_plus @ lo)   # S12
+                    at[comp][2][i] = -k2 * (dg @ c_plus @ dg)   # S21
+                    at[comp][3][i] = k2 * (dg @ c_plus @ lo)    # S22
 
     atomic = {
         c: SpectralMatrix(*(at[c][k] for k in range(4)), grid=grid)

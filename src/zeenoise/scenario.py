@@ -109,11 +109,15 @@ def _require(parser, section, key, path):
 
 def _as_float(raw, path, section, key):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
         raise ScenarioError(
-            f"expected a number, got {raw!r}", path=path, section=section, key=key
-        ) from None
+            f"expected a finite number, got {raw!r}",
+            path=path, section=section, key=key,
+        )
+    return value
 
 
 def _as_int(raw, path, section, key):

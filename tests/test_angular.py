@@ -156,7 +156,7 @@ def test_dipole_entries_are_cg_values():
 
 def test_branching_closure():
     """sum_q d_q^T d_q equals the excited projector exactly."""
-    for fg, fe in [(1, 2), (1, 1), (2, 2), (0.5, 1.5), (2, 1)]:
+    for fg, fe in [(1, 2), (1, 1), (2, 2), (0.5, 1.5), (2, 1), (4, 5)]:
         scheme = LevelScheme(fg=fg, fe=fe)
         total = sum(
             dipole_component(scheme, q).T @ dipole_component(scheme, q)
@@ -167,5 +167,28 @@ def test_branching_closure():
 
 def test_dipole_invalid_component():
     scheme = LevelScheme(fg=1, fe=2)
-    with pytest.raises(ArgumentError):
-        dipole_component(scheme, 2)
+    for q in (-1, 0, 1):
+        dipole_component(scheme, q)  # memoized tables skip no check
+    for bad in (2, -2, 0.5, None):
+        with pytest.raises(ArgumentError):
+            dipole_component(scheme, bad)
+
+
+def test_dipole_component_returns_a_fresh_copy():
+    """The memoized table never leaks: mutating one result changes no other."""
+    scheme = LevelScheme(fg=1, fe=2)
+    a = dipole_component(scheme, 1)
+    b = dipole_component(scheme, 1)
+    assert np.array_equal(a, b)
+    assert not np.shares_memory(a, b)
+    reference = b.copy()
+    a[:] = 7.0
+    assert np.array_equal(dipole_component(scheme, 1), reference)
+
+
+def test_dipole_table_does_not_depend_on_gamma():
+    for q in (-1, 0, 1):
+        assert np.array_equal(
+            dipole_component(LevelScheme(fg=2, fe=3, gamma=1.0), q),
+            dipole_component(LevelScheme(fg=2, fe=3, gamma=2.5), q),
+        )

@@ -159,24 +159,67 @@ def test_cross_polarization_correlations_vanish():
             assert max(abs(entry) for entry in cross) < 1e-14
 
 
-def test_symmetrized_grid_evaluates_each_kernel_once(monkeypatch):
-    """compute_point reuses the +-Omega kernels of a symmetrized grid."""
+def resolvent_calls(monkeypatch, grid):
+    """Omega of every resolvent compute_point inverts on `grid`."""
     calls = []
-    original = zeenoise.propagation.atomic_response
+    original = zeenoise.propagation._resolvent
 
-    def counting(liouvillian, diffusion, omega):
+    def counting(drift, omega):
         calls.append(omega)
-        return original(liouvillian, diffusion, omega)
+        return original(drift, omega)
 
-    monkeypatch.setattr(zeenoise.propagation, "atomic_response", counting)
-    grid = GridSpec(0.1, 2.0, 4, "linear", symmetrize=True)
+    monkeypatch.setattr(zeenoise.propagation, "_resolvent", counting)
     scenario = Scenario(
-        name="sym", fg=1, fe=2, gamma=1.0, polarization="linear",
+        name="count", fg=1, fe=2, gamma=1.0, polarization="linear",
         rabi=1.0, detuning=0.0, b0=0.1, grid=grid,
     )
     compute_point(scenario)
-    assert len(calls) == grid.build().size == 8
-    assert sorted(calls) == sorted(grid.build())
+    omegas = grid.build()
+    assert np.array_equal(
+        sorted(calls), np.unique(np.concatenate([omegas, -omegas]))
+    )
+    return calls
+
+
+def test_symmetrized_grid_evaluates_each_kernel_once(monkeypatch):
+    """R(+-|Omega|) is inverted once and feeds both C(+-|Omega|)."""
+    grid = GridSpec(0.1, 2.0, 4, "linear", symmetrize=True)
+    assert len(resolvent_calls(monkeypatch, grid)) == grid.build().size == 8
+
+
+def test_one_sided_grid_inverts_each_resolvent_once(monkeypatch):
+    """C(-Omega) of a one-sided grid reuses the resolvents of C(+Omega)."""
+    grid = GridSpec(0.1, 2.0, 4, "log")
+    assert len(resolvent_calls(monkeypatch, grid)) == 2 * grid.build().size
+
+
+@pytest.mark.parametrize("mode", ["circular", "linear"])
+@pytest.mark.parametrize("grid", [
+    GridSpec(1e-3, 12.0, 6, "log").build(),
+    GridSpec(0.1, 3.0, 3, "linear", symmetrize=True).build(),
+], ids=["log", "symmetrized"])
+def test_atomic_term_is_bit_identical_to_per_omega_kernels(mode, grid):
+    """Sharing R(+-|Omega|) between C(+|Omega|) and C(-|Omega|) changes no
+    bit of the atomic term against one atomic_response call per sign."""
+    b0, det = 0.2, 0.4
+    out = run(mode, 1.0, det, b0=b0, grid=grid)
+    scheme, liou, steady, diff = system(mode, 1.0, det)
+    k2 = 0.25 * b0 * scheme.gamma
+    for comp in (1, 2):
+        op = liou.drive.basis.operator(scheme, comp)
+        lo = operator_projection(op)
+        dg = operator_projection(op.conj().T)
+        expected = [[], [], [], []]
+        for w in grid:
+            c_plus = atomic_response(liou, diff, w)[1]
+            c_minus = atomic_response(liou, diff, -w)[1]
+            expected[0].append(k2 * (dg @ c_minus @ lo))
+            expected[1].append(-k2 * (lo @ c_plus @ lo))
+            expected[2].append(-k2 * (dg @ c_plus @ dg))
+            expected[3].append(k2 * (dg @ c_plus @ lo))
+        at = out.atomic[comp]
+        for key, values in zip(("s11", "s12", "s21", "s22"), expected):
+            assert np.array_equal(getattr(at, key), values), (comp, key)
 
 
 def test_even_in_frequency_on_resonance():

@@ -104,6 +104,14 @@ count = 3
         assert "[drive]" in str(err.value)
         assert "rabi" in str(err.value)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_number_names_section_and_key(self, tmp_path, raw):
+        text = GOOD.replace("b0 = 0.2", f"b0 = {raw}")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(write(tmp_path, text))
+        assert str(err.value).startswith(str(tmp_path / "scn.ini"))
+        assert "[medium] b0: expected a finite number" in str(err.value)
+
     def test_missing_section(self, tmp_path):
         text = GOOD.replace("[medium]\nb0 = 0.2\n", "")
         with pytest.raises(ScenarioError) as err:
@@ -349,6 +357,19 @@ class TestCli:
     def test_negative_sweep_value_exits_2_without_output(self, tmp_path):
         text = GOOD.replace("values = 0.5, 1.0", "values = 1 -0.5")
         scn = write(tmp_path, text, name="negsweep.ini")
+        out = tmp_path / "results"
+        assert main(["validate", str(scn)]) == 2
+        assert main(["run", str(scn), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        NOSWEEP.replace("b0 = 0.1", "b0 = nan"),
+        NOSWEEP.replace("b0 = 0.1", "b0 = inf"),
+        NOSWEEP.replace("rabi = 1.0", "rabi = nan"),
+        GOOD.replace("values = 0.5, 1.0", "values = 0.5 nan"),
+    ], ids=["b0_nan", "b0_inf", "rabi_nan", "sweep_nan"])
+    def test_non_finite_value_exits_2_without_output(self, tmp_path, text):
+        scn = write(tmp_path, text, name="nonfinite.ini")
         out = tmp_path / "results"
         assert main(["validate", str(scn)]) == 2
         assert main(["run", str(scn), "--out", str(out)]) == 2
