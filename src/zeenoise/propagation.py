@@ -126,11 +126,14 @@ def propagate(
 
     if b0 > 0:
         two_d = diffusion.two_d
-        for w in np.unique(np.abs(grid)):
+        indices = {}   # |Omega| -> grid indices, grouped in one pass
+        for i, w in enumerate(np.abs(grid).tolist()):
+            indices.setdefault(w, []).append(i)
+        for w in sorted(indices):
             r_plus = _resolvent(liouvillian.drift, w)
             r_minus = _resolvent(liouvillian.drift, -w)
             kernel = {w: r_plus @ two_d @ r_minus.T, -w: r_minus @ two_d @ r_plus.T}
-            for i in np.flatnonzero(np.abs(grid) == w):
+            for i in indices[w]:
                 c_plus = kernel[grid[i]]
                 c_minus = kernel[-grid[i]]
                 for comp in _POLARIZATION_COMPONENTS:

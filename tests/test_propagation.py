@@ -197,7 +197,8 @@ def test_one_sided_grid_inverts_each_resolvent_once(monkeypatch):
 @pytest.mark.parametrize("grid", [
     GridSpec(1e-3, 12.0, 6, "log").build(),
     GridSpec(0.1, 3.0, 3, "linear", symmetrize=True).build(),
-], ids=["log", "symmetrized"])
+    np.array([2.0, -0.5, 1e-3, 0.5, 2.0, -2.0]),
+], ids=["log", "symmetrized", "repeated"])
 def test_atomic_term_is_bit_identical_to_per_omega_kernels(mode, grid):
     """Sharing R(+-|Omega|) between C(+|Omega|) and C(-|Omega|) changes no
     bit of the atomic term against one atomic_response call per sign."""
