@@ -12,32 +12,20 @@ Typical use:
 
     from zeenoise import (
         LevelScheme, PolarizationBasis, PolarizationMode, DriveConfig,
-        build_generator, steady_state, diffusion_matrix,
-        MediumParams, propagate, coherent_input_matrix,
-        optical_spectrum, quadrature_noise, amplitude_quadrature_angle,
+        build_generator, steady_state, diffusion_matrix, excess_noise_input,
+        MediumParams, propagate, optical_spectrum, quadrature_noise,
+        amplitude_quadrature_angle,
     )
 
-or drive everything from scenario files via the `zeenoise` CLI.
+or drive everything from scenario files, through `load_scenario`,
+`validate_scenario` and `run_scenario` or the `zeenoise` CLI. The package
+also exports its error classes and CONVENTIONS_VERSION; every other name
+lives in its own module, and the peak analysis in `zeenoise.analysis`.
 """
 
-from .angular import LevelScheme, clebsch_gordan, dipole_component
-from .conventions import (
-    CONVENTIONS_VERSION,
-    QUADRATURE_CONVENTIONS,
-    expectation_vector,
-    operator_projection,
-    unvec,
-    vec,
-)
-from .dynamics import (
-    DriveConfig,
-    Liouvillian,
-    SteadyState,
-    build_generator,
-    evolve,
-    hamiltonian,
-    steady_state,
-)
+from .angular import LevelScheme
+from .conventions import CONVENTIONS_VERSION
+from .dynamics import DriveConfig, build_generator, steady_state
 from .errors import (
     ArgumentError,
     DegenerateSteadyStateError,
@@ -48,44 +36,16 @@ from .errors import (
     ZeenoiseError,
     ZeroCarrierError,
 )
-from .field import (
-    PolarizationBasis,
-    PolarizationMode,
-    SpectralMatrix,
-    coherent_input_matrix,
-    excess_noise_input,
-)
-from .langevin import DiffusionMatrix, diffusion_matrix
+from .field import PolarizationBasis, PolarizationMode, excess_noise_input
+from .langevin import diffusion_matrix
 from .observables import (
-    PeakInfo,
-    SpectrumTrace,
     amplitude_quadrature_angle,
     optical_spectrum,
-    peak_census,
     quadrature_noise,
-    zero_peak_half_width,
 )
-from .oracles import (
-    TwoLevelReference,
-    mollow_spectrum,
-    qrt_spectrum,
-    two_level_reference,
-)
-from .propagation import (
-    MediumParams,
-    OutputField,
-    atomic_response,
-    dephasing,
-    propagate,
-)
-from .runner import compute_point, run_scenario, write_point
-from .scenario import (
-    GridSpec,
-    Scenario,
-    SweepSpec,
-    load_scenario,
-    validate_scenario,
-)
+from .propagation import MediumParams, propagate
+from .runner import run_scenario
+from .scenario import load_scenario, validate_scenario
 
 __version__ = "0.1.0"
 
@@ -93,56 +53,26 @@ __all__ = [
     "ArgumentError",
     "CONVENTIONS_VERSION",
     "DegenerateSteadyStateError",
-    "DiffusionMatrix",
     "DriveConfig",
-    "GridSpec",
     "InternalConsistencyError",
     "LevelScheme",
-    "Liouvillian",
     "MediumParams",
     "NumericalError",
-    "OutputField",
-    "PeakInfo",
     "PolarizationBasis",
     "PolarizationMode",
-    "QUADRATURE_CONVENTIONS",
-    "Scenario",
     "ScenarioError",
-    "SpectralMatrix",
-    "SpectrumTrace",
     "StationarityError",
-    "SteadyState",
-    "SweepSpec",
-    "TwoLevelReference",
     "ZeenoiseError",
     "ZeroCarrierError",
     "amplitude_quadrature_angle",
-    "atomic_response",
     "build_generator",
-    "clebsch_gordan",
-    "coherent_input_matrix",
-    "compute_point",
-    "dephasing",
     "diffusion_matrix",
-    "dipole_component",
-    "evolve",
     "excess_noise_input",
-    "expectation_vector",
-    "hamiltonian",
     "load_scenario",
-    "mollow_spectrum",
-    "operator_projection",
     "optical_spectrum",
-    "peak_census",
     "propagate",
-    "qrt_spectrum",
     "quadrature_noise",
     "run_scenario",
     "steady_state",
-    "two_level_reference",
-    "unvec",
     "validate_scenario",
-    "vec",
-    "write_point",
-    "zero_peak_half_width",
 ]

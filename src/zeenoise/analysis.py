@@ -1,0 +1,88 @@
+"""Peak analysis of spectrum traces: peak census and zero-centred half widths.
+
+Used to read figures off computed spectra (multiplet counts, Raman peak
+widths). The run pipeline never calls it, so the `scipy.signal` import
+stays out of `zeenoise` and `zeenoise.cli`.
+"""
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+from scipy import signal
+
+from .errors import ArgumentError
+
+
+@dataclass
+class PeakInfo:
+    position: float
+    height: float
+    prominence: float
+    half_width: Optional[float]  # None when the half-height span is clipped
+
+
+def peak_census(trace, prominence=0.02):
+    """Locate interior local maxima of a spectrum trace.
+
+    `prominence` is relative to the full value range of the trace. Half
+    widths (HWHM, from the half-prominence span) are reported in grid units
+    and are None where the span runs off the sampled window.
+    """
+    values = trace.values
+    grid = trace.grid
+    if values.size < 3:
+        return []
+    vrange = float(values.max() - values.min())
+    if vrange == 0:
+        return []
+    idx, props = signal.find_peaks(values, prominence=prominence * vrange)
+    if idx.size == 0:
+        return []
+    widths, _, left_ips, right_ips = signal.peak_widths(
+        values, idx, rel_height=0.5
+    )
+    samples = np.arange(values.size, dtype=float)
+    peaks = []
+    for k, i in enumerate(idx):
+        clipped = left_ips[k] <= 0.0 or right_ips[k] >= values.size - 1.0
+        if clipped:
+            hw = None
+        else:
+            w_left = float(np.interp(left_ips[k], samples, grid))
+            w_right = float(np.interp(right_ips[k], samples, grid))
+            hw = 0.5 * (w_right - w_left)
+        peaks.append(
+            PeakInfo(
+                position=float(grid[i]),
+                height=float(values[i]),
+                prominence=float(props["prominences"][k]),
+                half_width=hw,
+            )
+        )
+    peaks.sort(key=lambda p: p.position)
+    return peaks
+
+
+def zero_peak_half_width(trace, baseline=0.0):
+    """Half width of a peak sitting at the low-frequency end of the grid.
+
+    Treats the first sample as the peak height and returns the frequency at
+    which the trace first falls to the midpoint between peak and `baseline`,
+    interpolated linearly in log-frequency. Returns None without a crossing.
+    Intended for narrow Raman-type features centered at Omega = 0 sampled on
+    a logarithmic grid that cannot contain the maximum itself.
+    """
+    grid = np.asarray(trace.grid, dtype=float)
+    values = np.asarray(trace.values, dtype=float)
+    if grid.size < 2 or np.any(grid <= 0):
+        raise ArgumentError("requires a strictly positive frequency grid")
+    target = 0.5 * (values[0] + baseline)
+    below = np.nonzero(values <= target)[0]
+    if below.size == 0 or below[0] == 0:
+        return None
+    k = int(below[0])
+    x0, x1 = np.log(grid[k - 1]), np.log(grid[k])
+    y0, y1 = values[k - 1], values[k]
+    frac = (y0 - target) / (y0 - y1)
+    return float(np.exp(x0 + frac * (x1 - x0)))

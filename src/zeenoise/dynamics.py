@@ -51,7 +51,7 @@ class DriveConfig:
 
     def __post_init__(self):
         if self.rabi < 0:
-            raise ArgumentError("Rabi frequency must be >= 0")
+            raise ArgumentError(f"rabi must be >= 0, got {self.rabi}")
 
 
 @dataclass(frozen=True)

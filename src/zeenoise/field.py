@@ -104,8 +104,9 @@ def coherent_input_matrix():
 
 def excess_noise_input(eps_a, eps_p):
     """Coherent matrix plus white quadrature excess (eps_a, eps_p >= 0)."""
-    if eps_a < 0 or eps_p < 0:
-        raise ArgumentError("excess-noise fractions must be >= 0")
+    for key, value in (("eps_a", eps_a), ("eps_p", eps_p)):
+        if value < 0:
+            raise ArgumentError(f"{key} must be >= 0, got {value}")
     s = (eps_a + eps_p) / 4.0
     d = (eps_a - eps_p) / 4.0
     return SpectralMatrix(1.0 + s + 0j, d + 0j, d + 0j, s + 0j)

@@ -10,10 +10,8 @@ real by construction (S21 = S12*, S11 and S22 real); shot noise = 1.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy import signal
 
 from .errors import ArgumentError, InternalConsistencyError, ZeroCarrierError
 
@@ -44,12 +42,20 @@ def optical_spectrum(spectral_matrix):
     vals = np.real(np.asarray(spectral_matrix.s22, dtype=complex)).copy()
     vals = np.broadcast_to(vals, grid.shape).copy()
     neg = np.nonzero(grid < 0)[0]
-    if neg.size:
-        for i in neg:
-            target = -grid[i]
-            j = int(np.argmin(np.abs(grid - target)))
-            if np.isclose(grid[j], target, rtol=1e-9, atol=1e-300):
-                vals[i] = vals[j]
+    target = -grid[neg]
+    order = np.argsort(grid, kind="stable")
+    ordered = grid[order]
+    # nearest neighbour of each target on either side; among equal
+    # distances the lowest grid index wins, as np.argmin would pick
+    right = np.minimum(np.searchsorted(ordered, target), grid.size - 1)
+    left = np.maximum(right - 1, 0)
+    left = np.searchsorted(ordered, ordered[left])  # first of its run
+    cand = np.stack((order[left], order[right]))
+    dist = np.abs(grid[cand] - target)
+    best = dist.min(axis=0)
+    j = np.where(dist == best, cand, grid.size).min(axis=0)
+    hit = np.isclose(grid[j], target, rtol=1e-9, atol=1e-300)
+    vals[neg[hit]] = vals[j[hit]]
     return SpectrumTrace(grid=grid, values=vals)
 
 
@@ -77,77 +83,3 @@ def amplitude_quadrature_angle(carrier):
             "amplitude quadrature is undefined for a vanishing carrier"
         )
     return float(np.angle(carrier))
-
-
-@dataclass
-class PeakInfo:
-    position: float
-    height: float
-    prominence: float
-    half_width: Optional[float]  # None when the half-height span is clipped
-
-
-def peak_census(trace, prominence=0.02):
-    """Locate interior local maxima of a spectrum trace.
-
-    `prominence` is relative to the full value range of the trace. Half
-    widths (HWHM, from the half-prominence span) are reported in grid units
-    and are None where the span runs off the sampled window.
-    """
-    values = trace.values
-    grid = trace.grid
-    if values.size < 3:
-        return []
-    vrange = float(values.max() - values.min())
-    if vrange == 0:
-        return []
-    idx, props = signal.find_peaks(values, prominence=prominence * vrange)
-    if idx.size == 0:
-        return []
-    widths, _, left_ips, right_ips = signal.peak_widths(
-        values, idx, rel_height=0.5
-    )
-    samples = np.arange(values.size, dtype=float)
-    peaks = []
-    for k, i in enumerate(idx):
-        clipped = left_ips[k] <= 0.0 or right_ips[k] >= values.size - 1.0
-        if clipped:
-            hw = None
-        else:
-            w_left = float(np.interp(left_ips[k], samples, grid))
-            w_right = float(np.interp(right_ips[k], samples, grid))
-            hw = 0.5 * (w_right - w_left)
-        peaks.append(
-            PeakInfo(
-                position=float(grid[i]),
-                height=float(values[i]),
-                prominence=float(props["prominences"][k]),
-                half_width=hw,
-            )
-        )
-    peaks.sort(key=lambda p: p.position)
-    return peaks
-
-
-def zero_peak_half_width(trace, baseline=0.0):
-    """Half width of a peak sitting at the low-frequency end of the grid.
-
-    Treats the first sample as the peak height and returns the frequency at
-    which the trace first falls to the midpoint between peak and `baseline`,
-    interpolated linearly in log-frequency. Returns None without a crossing.
-    Intended for narrow Raman-type features centered at Omega = 0 sampled on
-    a logarithmic grid that cannot contain the maximum itself.
-    """
-    grid = np.asarray(trace.grid, dtype=float)
-    values = np.asarray(trace.values, dtype=float)
-    if grid.size < 2 or np.any(grid <= 0):
-        raise ArgumentError("requires a strictly positive frequency grid")
-    target = 0.5 * (values[0] + baseline)
-    below = np.nonzero(values <= target)[0]
-    if below.size == 0 or below[0] == 0:
-        return None
-    k = int(below[0])
-    x0, x1 = np.log(grid[k - 1]), np.log(grid[k])
-    y0, y1 = values[k - 1], values[k]
-    frac = (y0 - target) / (y0 - y1)
-    return float(np.exp(x0 + frac * (x1 - x0)))

@@ -47,7 +47,7 @@ class MediumParams:
 
     def __post_init__(self):
         if self.b0 < 0:
-            raise ArgumentError("b0 must be >= 0")
+            raise ArgumentError(f"b0 must be >= 0, got {self.b0}")
 
 
 @dataclass
@@ -174,19 +174,3 @@ def _carrier_susceptibility(rho, op, drive, b0, scheme):
     mean_dipole = np.trace(rho @ op)
     return 0.5 * b0 * scheme.gamma * mean_dipole / drive.rabi
 
-
-def dephasing(steady, drive, b0, scheme):
-    """Carrier dephasing angle Phi of the driven component (radians).
-
-    Phi = Re chi, the real part of the carrier susceptibility that
-    `propagate` applies, chi = (b0*gamma/2) <D1>/Omega1; exactly linear in
-    b0, zero for a resonantly driven two-level system (purely absorptive
-    response).
-    """
-    if b0 < 0:
-        raise ArgumentError("b0 must be >= 0")
-    if drive.rabi == 0:
-        raise ArgumentError("dephasing undefined at zero Rabi frequency")
-    rho = getattr(steady, "rho", steady)
-    op = drive.basis.driven_operator(scheme)
-    return float(_carrier_susceptibility(rho, op, drive, b0, scheme).real)

@@ -14,7 +14,7 @@ alone. The pipeline is deterministic: no randomness anywhere, and one loop
 over the grid computes every frequency point, so reruns are bit-identical.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import json
@@ -123,13 +123,7 @@ def compute_point(scenario):
             "eps_a": scenario.eps_a,
             "eps_p": scenario.eps_p,
         },
-        "grid": {
-            "omega_min": scenario.grid.omega_min,
-            "omega_max": scenario.grid.omega_max,
-            "count": scenario.grid.count,
-            "spacing": scenario.grid.spacing,
-            "symmetrize": scenario.grid.symmetrize,
-        },
+        "grid": asdict(scenario.grid),
         "oracles": list(scenario.oracles),
         "quadrature_theta": theta,
         "quadrature_theta_source": theta_source,

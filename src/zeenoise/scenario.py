@@ -20,16 +20,19 @@ problems are reported by `validate_scenario` as (warnings, errors) so a
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .angular import LevelScheme
+from .dynamics import DriveConfig
 from .errors import ArgumentError, ScenarioError
+from .field import PolarizationBasis, PolarizationMode, excess_noise_input
+from .propagation import MediumParams
 
-_POLARIZATIONS = ("circular", "linear")
+_POLARIZATIONS = tuple(mode.value for mode in PolarizationMode)
 _ORACLES = ("qrt", "mollow")
 _SWEEPABLE = ("rabi", "detuning", "b0", "eps_p")
 _SPACINGS = ("log", "linear")
@@ -53,6 +56,46 @@ class GridSpec:
         if self.symmetrize:
             grid = np.concatenate((-grid[::-1], grid))
         return grid
+
+    def problems(self):
+        """Range errors of this grid, found without building it."""
+        errors = []
+        if self.count < 2:
+            errors.append(f"grid.count must be >= 2, got {self.count}")
+        if self.spacing == "log" and self.omega_min <= 0:
+            errors.append(
+                f"grid.omega_min must be > 0 for log spacing, got {self.omega_min}"
+            )
+        if self.omega_min >= self.omega_max:
+            errors.append(
+                f"grid bounds are inverted: omega_min = {self.omega_min} >= "
+                f"omega_max = {self.omega_max}"
+            )
+        if not errors and self.spacing == "linear" and self._linear_has_zero():
+            errors.append(
+                "grid contains Omega = 0 (zero-frequency fluctuation "
+                "response is singular on the steady-state manifold); "
+                "shift the bounds or use an even count"
+            )
+        return errors
+
+    def _linear_has_zero(self):
+        # np.linspace sets point i < count - 1 to i*step + start (to
+        # (i/div)*delta + start when step underflows) and the last point to
+        # stop. Point i is 0 only if i*step rounds to -start exactly, which
+        # leaves the two i next to -start/step. Mirroring adds no zero, and
+        # a log grid with omega_min > 0 has none.
+        start, stop = np.float64(self.omega_min), np.float64(self.omega_max)
+        div = self.count - 1
+        delta = stop - start
+        step = delta / div
+        if not np.isfinite(step):
+            return stop == 0
+        x = -start / delta * div if step == 0 else -start / step
+        i = np.array([np.floor(x), np.ceil(x)])
+        i = i[(i >= 0) & (i < div)]
+        points = i / div * delta + start if step == 0 else i * step + start
+        return stop == 0 or bool(np.any(points == 0))
 
 
 @dataclass(frozen=True)
@@ -90,8 +133,6 @@ class Scenario:
         """A copy with the swept parameter replaced by `value`."""
         if value is None or self.sweep is None:
             return self
-        from dataclasses import replace
-
         return replace(self, **{self.sweep.parameter: float(value)})
 
 
@@ -256,9 +297,9 @@ def load_scenario(path):
 def validate_scenario(scenario):
     """Check physical ranges. Returns (warnings, errors) as string lists.
 
-    The per-parameter range checks run on every effective point, that is
-    on each sweep value substituted into the scenario, so a bad sweep value
-    is caught before anything is computed.
+    The range rules are those of the pipeline's own constructors, run on
+    every effective point, that is on each sweep value substituted into the
+    scenario, so a bad sweep value is caught before anything is computed.
     """
     warnings = []
     errors = []
@@ -268,32 +309,13 @@ def validate_scenario(scenario):
     if sweep is not None and sweep.parameter in _SWEEPABLE and sweep.values:
         points = [scenario.with_sweep_value(v) for v in sweep.values]
     for point in points:
-        _check_ranges(point, warnings, errors)
+        errors.extend(_point_errors(point))
+        _check_ranges(point, warnings)
 
     if scenario.grid is None:
         errors.append("missing [grid] section: omega_min/omega_max/count")
     else:
-        g = scenario.grid
-        if g.count < 2:
-            errors.append(f"grid.count must be >= 2, got {g.count}")
-        if g.spacing == "log" and g.omega_min <= 0:
-            errors.append(
-                f"grid.omega_min must be > 0 for log spacing, got {g.omega_min}"
-            )
-        if g.omega_min >= g.omega_max:
-            errors.append(
-                f"grid bounds are inverted: omega_min = {g.omega_min} >= "
-                f"omega_max = {g.omega_max}"
-            )
-        if g.count >= 2 and g.omega_min < g.omega_max and not (
-            g.spacing == "log" and g.omega_min <= 0
-        ):
-            if np.any(g.build() == 0.0):
-                errors.append(
-                    "grid contains Omega = 0 (zero-frequency fluctuation "
-                    "response is singular on the steady-state manifold); "
-                    "shift the bounds or use an even count"
-                )
+        errors.extend(scenario.grid.problems())
 
     if scenario.sweep is not None:
         if scenario.sweep.parameter not in _SWEEPABLE:
@@ -313,27 +335,29 @@ def validate_scenario(scenario):
     return list(dict.fromkeys(warnings)), list(dict.fromkeys(errors))
 
 
-def _check_ranges(point, warnings, errors):
-    """Append the range problems of one effective scenario point."""
-    try:
-        LevelScheme(fg=point.fg, fe=point.fe, gamma=point.gamma)
-    except ArgumentError as exc:
-        errors.append(f"transition: {exc}")
+def _point_errors(point):
+    """The constructors' ArgumentErrors for one effective scenario point."""
+    basis = PolarizationBasis(PolarizationMode(point.polarization))
+    errors = []
+    for prefix, construct, args in (
+        ("transition: ", LevelScheme, (point.fg, point.fe, point.gamma)),
+        ("drive.", DriveConfig, (basis, point.rabi, point.detuning)),
+        ("medium.", MediumParams, (point.b0,)),
+        ("input.", excess_noise_input, (point.eps_a, point.eps_p)),
+    ):
+        try:
+            construct(*args)
+        except ArgumentError as exc:
+            errors.append(f"{prefix}{exc}")
+    return errors
 
-    if point.rabi < 0:
-        errors.append(f"drive.rabi must be >= 0, got {point.rabi}")
-    elif point.rabi == 0:
+
+def _check_ranges(point, warnings):
+    """Append the range warnings of one effective scenario point."""
+    if point.rabi == 0:
         warnings.append("drive.rabi is 0: the field is undriven vacuum")
-
-    if point.b0 < 0:
-        errors.append(f"medium.b0 must be >= 0, got {point.b0}")
-    elif point.b0 > 0.5:
+    if point.b0 > 0.5:
         warnings.append(
             f"medium.b0 = {point.b0} exceeds the dilute/thin-sample "
             "domain (b0 <= 0.5); results are extrapolations"
         )
-
-    for key in ("eps_a", "eps_p"):
-        value = getattr(point, key)
-        if value < 0:
-            errors.append(f"input.{key} must be >= 0, got {value}")

@@ -20,19 +20,17 @@ from zeenoise import (
     PolarizationMode,
     amplitude_quadrature_angle,
     build_generator,
-    coherent_input_matrix,
     diffusion_matrix,
-    dipole_component,
     excess_noise_input,
-    mollow_spectrum,
     optical_spectrum,
-    peak_census,
     propagate,
-    qrt_spectrum,
     quadrature_noise,
     steady_state,
-    zero_peak_half_width,
 )
+from zeenoise.analysis import peak_census, zero_peak_half_width
+from zeenoise.angular import dipole_component
+from zeenoise.field import coherent_input_matrix
+from zeenoise.oracles import mollow_spectrum, qrt_spectrum
 from zeenoise.cli import main
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)

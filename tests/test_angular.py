@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from zeenoise import ArgumentError, LevelScheme, clebsch_gordan, dipole_component
+from zeenoise import ArgumentError, LevelScheme
+from zeenoise.angular import clebsch_gordan, dipole_component
 
 sympy = pytest.importorskip("sympy")
 from sympy.physics.quantum.cg import CG as SympyCG  # noqa: E402

@@ -11,14 +11,11 @@ from zeenoise import (
     PolarizationBasis,
     PolarizationMode,
     build_generator,
-    evolve,
-    hamiltonian,
     steady_state,
-    two_level_reference,
-    unvec,
-    vec,
 )
-from zeenoise.conventions import expectation_vector
+from zeenoise.conventions import expectation_vector, unvec, vec
+from zeenoise.dynamics import evolve, hamiltonian
+from zeenoise.oracles import two_level_reference
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 CIRC = PolarizationBasis(PolarizationMode.CIRCULAR)

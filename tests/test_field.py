@@ -8,11 +8,10 @@ from zeenoise import (
     LevelScheme,
     PolarizationBasis,
     PolarizationMode,
-    SpectralMatrix,
-    coherent_input_matrix,
-    dipole_component,
     excess_noise_input,
 )
+from zeenoise.angular import dipole_component
+from zeenoise.field import SpectralMatrix, coherent_input_matrix
 
 SCHEME = LevelScheme(fg=1, fe=2)
 

@@ -6,15 +6,14 @@ import pytest
 from zeenoise import (
     ArgumentError,
     InternalConsistencyError,
-    SpectralMatrix,
-    SpectrumTrace,
     ZeroCarrierError,
     amplitude_quadrature_angle,
     optical_spectrum,
-    peak_census,
     quadrature_noise,
-    zero_peak_half_width,
 )
+from zeenoise.analysis import peak_census, zero_peak_half_width
+from zeenoise.field import SpectralMatrix, coherent_input_matrix
+from zeenoise.observables import SpectrumTrace
 
 
 def lorentzian(x, center, hwhm, height):
@@ -48,6 +47,29 @@ class TestOpticalSpectrum:
         s22 = np.array([4.0, 5.0])
         sm = SpectralMatrix(np.ones(2), np.zeros(2), np.zeros(2), s22, grid=grid)
         assert optical_spectrum(sm).values == pytest.approx([4.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.linspace(-5.0, 3.0, 9),  # exact mirrors at +-1, +-2, +-3
+            np.linspace(-5.0, 3.0, 40),  # no exact mirror
+            np.concatenate(
+                (-np.logspace(-3, 1, 30)[::-1], np.logspace(-3, 1, 30))
+            ),
+            np.array([2.0, -1.0, 1.0, 1.0, -2.0, 1.0 + 1e-10, -1.0, 0.5]),
+        ],
+        ids=["linear-mirrored", "linear-unmatched", "symmetrized", "repeated"],
+    )
+    def test_mirror_search_matches_nearest_neighbour_rule(self, grid):
+        """Each negative point copies its first nearest |value| within 1e-9."""
+        s22 = np.random.default_rng(7).normal(size=grid.size)
+        sm = SpectralMatrix(0.0, 0.0, 0.0, s22, grid=grid)
+        expected = s22.copy()
+        for i in np.nonzero(grid < 0)[0]:
+            j = int(np.argmin(np.abs(grid + grid[i])))
+            if np.isclose(grid[j], -grid[i], rtol=1e-9, atol=1e-300):
+                expected[i] = s22[j]
+        assert np.array_equal(optical_spectrum(sm).values, expected)
 
 
 class TestQuadratureNoise:
@@ -83,8 +105,6 @@ class TestQuadratureNoise:
             quadrature_noise(sm, 0.0)
 
     def test_coherent_is_shot_noise_at_every_angle(self):
-        from zeenoise import coherent_input_matrix
-
         sm = coherent_input_matrix()
         for theta in (0.0, 0.7, np.pi / 2):
             assert quadrature_noise(sm, theta).values == pytest.approx(1.0)

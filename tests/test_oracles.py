@@ -10,11 +10,9 @@ from zeenoise import (
     PolarizationBasis,
     PolarizationMode,
     build_generator,
-    mollow_spectrum,
-    qrt_spectrum,
     steady_state,
-    two_level_reference,
 )
+from zeenoise.oracles import mollow_spectrum, qrt_spectrum, two_level_reference
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 CIRC = PolarizationBasis(PolarizationMode.CIRCULAR)

@@ -1,0 +1,51 @@
+"""The package surface: what `import zeenoise` exports and what it loads."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import zeenoise
+from zeenoise import errors
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_use_imports():
+    """Names imported from `zeenoise` in the README "Library use" block."""
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "zeenoise"
+        for alias in node.names
+    }
+
+
+def test_public_names_are_the_documented_ones():
+    error_classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ZeenoiseError)
+    }
+    documented = _library_use_imports() | error_classes | {"CONVENTIONS_VERSION"}
+    assert sorted(zeenoise.__all__) == sorted(documented)
+    assert len(zeenoise.__all__) == 25
+    for name in zeenoise.__all__:
+        assert hasattr(zeenoise, name)
+
+
+def test_cli_import_leaves_peak_analysis_unloaded():
+    code = (
+        "import sys, zeenoise.cli; "
+        "sys.exit('scipy.signal' in sys.modules or 'zeenoise.analysis' in sys.modules)"
+    )
+    src = str(Path(zeenoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr

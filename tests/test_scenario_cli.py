@@ -5,8 +5,20 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zeenoise import ScenarioError, load_scenario, validate_scenario
+from zeenoise import (
+    ArgumentError,
+    DriveConfig,
+    MediumParams,
+    PolarizationBasis,
+    PolarizationMode,
+    ScenarioError,
+    excess_noise_input,
+    load_scenario,
+    validate_scenario,
+)
 from zeenoise.cli import PRESET_GROUPS, main
 from zeenoise.scenario import GridSpec
 
@@ -243,6 +255,66 @@ class TestValidation:
         )
         _, errors = validate_scenario(s)
         assert errors == ["medium.b0 must be >= 0, got -1.0"]
+
+    def test_range_errors_are_the_constructors_own(self, tmp_path):
+        s = self.base(
+            tmp_path,
+            **{
+                "values = 0.5, 1.0": "values = -0.5",
+                "b0 = 0.2": "b0 = -0.1",
+                "eps_p = 3.0": "eps_p = -2.0",
+            },
+        )
+        _, errors = validate_scenario(s)
+        assert errors == [
+            "drive.rabi must be >= 0, got -0.5",
+            "medium.b0 must be >= 0, got -0.1",
+            "input.eps_p must be >= 0, got -2.0",
+        ]
+        basis = PolarizationBasis(PolarizationMode.LINEAR)
+        with pytest.raises(ArgumentError, match=r"^rabi must be >= 0, got -0\.5$"):
+            DriveConfig(basis, -0.5)
+        with pytest.raises(ArgumentError, match=r"^b0 must be >= 0, got -0\.1$"):
+            MediumParams(-0.1)
+        with pytest.raises(ArgumentError, match=r"^eps_p must be >= 0, got -2\.0$"):
+            excess_noise_input(0.0, -2.0)
+
+    def test_huge_grid_validates_without_building(self, tmp_path, monkeypatch):
+        def no_build(self):
+            raise AssertionError("validate_scenario built the grid")
+
+        monkeypatch.setattr(GridSpec, "build", no_build)
+
+        def linear(omega_min, count):
+            return self.base(
+                tmp_path,
+                **{
+                    "spacing = log": "spacing = linear",
+                    "omega_min = 1e-3": f"omega_min = {omega_min}",
+                    "count = 7": f"count = {count}",
+                },
+            )
+
+        # an even count on bounds symmetric about 0 steps over it
+        assert validate_scenario(linear(-5.0, 10**11)) == ([], [])
+        # step 8 / 2**37 is exact, so point 3 * 2**34 is exactly 0
+        _, errors = validate_scenario(linear(-3.0, 2**37 + 1))
+        assert any("Omega = 0" in e for e in errors)
+
+
+_BOUND = st.one_of(
+    st.integers(-400, 400).map(lambda k: k / 8),  # bounds that often hit 0
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lo=_BOUND, hi=_BOUND, count=st.integers(2, 200), symmetrize=st.booleans())
+def test_closed_form_zero_rule_matches_built_grid(lo, hi, count, symmetrize):
+    lo, hi = min(lo, hi), max(lo, hi)
+    grid = GridSpec(lo, hi, count, spacing="linear", symmetrize=symmetrize)
+    zero_error = any("Omega = 0" in e for e in grid.problems())
+    assert zero_error == (lo < hi and bool(np.any(grid.build() == 0)))
 
 
 NOSWEEP = """
