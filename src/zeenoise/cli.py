@@ -8,8 +8,8 @@
 has no effect.
 
 Exit codes: 0 success; 2 configuration problem (parse error or failed
-validation, with file/section/key context); 3 physics failure (degenerate
-steady state or singular solve, naming the scenario point); 4 I/O failure.
+validation, with file/section/key context); 3 physics failure (any of
+errors.PHYSICS_ERRORS, naming the scenario point); 4 I/O failure.
 The default output directory is $ZEENOISE_OUT, falling back to
 ./zeenoise-out.
 """
@@ -20,12 +20,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import (
-    DegenerateSteadyStateError,
-    NumericalError,
-    ScenarioError,
-    StationarityError,
-)
+from .errors import PHYSICS_ERRORS, ScenarioError
 from .runner import DEFAULT_OUTPUT_DIR, OUTPUT_DIR_ENV, run_scenario
 from .scenario import load_scenario, validate_scenario
 
@@ -133,11 +128,7 @@ def _cmd_run(args):
             return EXIT_CONFIG
         try:
             written.extend(run_scenario(scenario, out_dir))
-        except (
-            DegenerateSteadyStateError,
-            StationarityError,
-            NumericalError,
-        ) as exc:
+        except PHYSICS_ERRORS as exc:
             print(f"physics failure: {exc}", file=sys.stderr)
             return EXIT_PHYSICS
         except OSError as exc:

@@ -143,12 +143,3 @@ def steady_state(liouvillian):
     if residual > 1e-8:
         raise NumericalError(f"steady-state residual {residual:.2e} too large")
     return SteadyState(rho=rho)
-
-
-def evolve(liouvillian, rho0, t):
-    """rho(t) = exp(G t) applied to rho0 (trace preserved by construction)."""
-    if t < 0:
-        raise ArgumentError("evolution time must be >= 0")
-    rho0 = np.asarray(rho0, dtype=complex)
-    propagator = scipy.linalg.expm(liouvillian.generator * t)
-    return unvec(propagator @ vec(rho0))

@@ -51,3 +51,14 @@ class ScenarioError(ZeenoiseError):
         if key is not None:
             where += f"{key}: "
         super().__init__(where + message)
+
+
+# Failures of the computation itself, not of its configuration: the CLI
+# reports each with the scenario point it happened at and exits 3.
+PHYSICS_ERRORS = (
+    DegenerateSteadyStateError,
+    StationarityError,
+    NumericalError,
+    InternalConsistencyError,
+    ZeroCarrierError,
+)

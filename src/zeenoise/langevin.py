@@ -33,7 +33,7 @@ class DiffusionMatrix:
         return 2.0 * self.d
 
 
-def diffusion_matrix(liouvillian, steady, scheme=None):
+def diffusion_matrix(liouvillian, steady):
     """Einstein-relation diffusion matrix at the given steady state.
 
     `steady` may be a SteadyState or a bare density matrix; it must be

@@ -21,16 +21,9 @@ import json
 
 import numpy as np
 
-from .angular import LevelScheme
 from .conventions import CONVENTIONS_VERSION, QUADRATURE_CONVENTIONS
-from .dynamics import DriveConfig, build_generator, steady_state
-from .errors import (
-    ArgumentError,
-    DegenerateSteadyStateError,
-    NumericalError,
-    StationarityError,
-)
-from .field import PolarizationBasis, PolarizationMode, excess_noise_input
+from .dynamics import build_generator, steady_state
+from .errors import PHYSICS_ERRORS, ArgumentError
 from .langevin import diffusion_matrix
 from .observables import (
     amplitude_quadrature_angle,
@@ -38,7 +31,8 @@ from .observables import (
     quadrature_noise,
 )
 from .oracles import mollow_spectrum, qrt_spectrum
-from .propagation import MediumParams, propagate
+from .propagation import propagate
+from .scenario import PARAMETERS, point_inputs
 
 BASE_COLUMNS = ("omega_over_gamma", "s_opt_e1", "s_opt_e2", "s_x_e1", "s_x_e2")
 ORACLE_COLUMNS = {
@@ -62,16 +56,12 @@ def compute_point(scenario):
     """Run the full pipeline for one (effective) scenario."""
     if scenario.grid is None:
         raise ArgumentError("scenario has no frequency grid")
-    scheme = LevelScheme(fg=scenario.fg, fe=scenario.fe, gamma=scenario.gamma)
-    basis = PolarizationBasis(PolarizationMode(scenario.polarization))
-    drive = DriveConfig(
-        basis=basis, rabi=scenario.rabi, detuning=scenario.detuning
-    )
+    (scheme, drive, medium, input_matrix), errors = point_inputs(scenario)
+    if errors:
+        raise ArgumentError("; ".join(errors))
     liou = build_generator(scheme, drive)
     steady = steady_state(liou)
     diff = diffusion_matrix(liou, steady)
-    input_matrix = excess_noise_input(scenario.eps_a, scenario.eps_p)
-    medium = MediumParams(b0=scenario.b0)
     grid = scenario.grid.build()
 
     out = propagate(input_matrix, medium, liou, diff, steady, grid)
@@ -96,7 +86,7 @@ def compute_point(scenario):
     for oracle in scenario.oracles:
         if oracle == "qrt":
             for comp, name in ((1, "qrt_opt_e1"), (2, "qrt_opt_e2")):
-                op = basis.operator(scheme, comp)
+                op = drive.basis.operator(scheme, comp)
                 one_sided = qrt_spectrum(
                     liou, steady, op.conj().T, op, wabs
                 )
@@ -112,17 +102,7 @@ def compute_point(scenario):
     metadata = {
         "conventions_version": CONVENTIONS_VERSION,
         "quadrature_conventions": dict(QUADRATURE_CONVENTIONS),
-        "parameters": {
-            "fg": scenario.fg,
-            "fe": scenario.fe,
-            "gamma": scenario.gamma,
-            "polarization": scenario.polarization,
-            "rabi": scenario.rabi,
-            "detuning": scenario.detuning,
-            "b0": scenario.b0,
-            "eps_a": scenario.eps_a,
-            "eps_p": scenario.eps_p,
-        },
+        "parameters": {key: getattr(scenario, key) for key in PARAMETERS},
         "grid": asdict(scenario.grid),
         "oracles": list(scenario.oracles),
         "quadrature_theta": theta,
@@ -182,11 +162,7 @@ def run_scenario(scenario, out_dir):
             label = f"{scenario.name}_{scenario.sweep.parameter}_{value:g}"
         try:
             result = compute_point(effective)
-        except (
-            DegenerateSteadyStateError,
-            StationarityError,
-            NumericalError,
-        ) as exc:
+        except PHYSICS_ERRORS as exc:
             exc.args = (f"scenario point '{label}': {exc}",)
             raise
         result.metadata["label"] = label

@@ -36,6 +36,7 @@ _POLARIZATIONS = tuple(mode.value for mode in PolarizationMode)
 _ORACLES = ("qrt", "mollow")
 _SWEEPABLE = ("rabi", "detuning", "b0", "eps_p")
 _SPACINGS = ("log", "linear")
+MAX_GRID_COUNT = 10**6  # points per side, so a valid grid is cheap to build
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,14 @@ class GridSpec:
         return grid
 
     def problems(self):
-        """Range errors of this grid, found without building it."""
+        """Range errors of this grid; it is built only once the rest pass."""
         errors = []
         if self.count < 2:
             errors.append(f"grid.count must be >= 2, got {self.count}")
+        if self.count > MAX_GRID_COUNT:
+            errors.append(
+                f"grid.count must be <= {MAX_GRID_COUNT}, got {self.count}"
+            )
         if self.spacing == "log" and self.omega_min <= 0:
             errors.append(
                 f"grid.omega_min must be > 0 for log spacing, got {self.omega_min}"
@@ -71,31 +76,13 @@ class GridSpec:
                 f"grid bounds are inverted: omega_min = {self.omega_min} >= "
                 f"omega_max = {self.omega_max}"
             )
-        if not errors and self.spacing == "linear" and self._linear_has_zero():
+        if not errors and np.any(self.build() == 0):
             errors.append(
                 "grid contains Omega = 0 (zero-frequency fluctuation "
                 "response is singular on the steady-state manifold); "
                 "shift the bounds or use an even count"
             )
         return errors
-
-    def _linear_has_zero(self):
-        # np.linspace sets point i < count - 1 to i*step + start (to
-        # (i/div)*delta + start when step underflows) and the last point to
-        # stop. Point i is 0 only if i*step rounds to -start exactly, which
-        # leaves the two i next to -start/step. Mirroring adds no zero, and
-        # a log grid with omega_min > 0 has none.
-        start, stop = np.float64(self.omega_min), np.float64(self.omega_max)
-        div = self.count - 1
-        delta = stop - start
-        step = delta / div
-        if not np.isfinite(step):
-            return stop == 0
-        x = -start / delta * div if step == 0 else -start / step
-        i = np.array([np.floor(x), np.ceil(x)])
-        i = i[(i >= 0) & (i < div)]
-        points = i / div * delta + start if step == 0 else i * step + start
-        return stop == 0 or bool(np.any(points == 0))
 
 
 @dataclass(frozen=True)
@@ -136,44 +123,116 @@ class Scenario:
         return replace(self, **{self.sweep.parameter: float(value)})
 
 
-def _require(parser, section, key, path):
-    if not parser.has_section(section):
-        raise ScenarioError(
-            f"missing required section [{section}]", path=path, section=section
-        )
-    if not parser.has_option(section, key):
-        raise ScenarioError(
-            "missing required key", path=path, section=section, key=key
-        )
-    return parser.get(section, key)
-
-
-def _as_float(raw, path, section, key):
+# Value parsers: each turns the raw INI string into a value, or raises
+# ValueError with the message the ScenarioError will carry.
+def _finite(raw):
     try:
         value = float(raw)
     except ValueError:
         value = np.nan
     if not np.isfinite(value):
-        raise ScenarioError(
-            f"expected a finite number, got {raw!r}",
-            path=path, section=section, key=key,
-        )
+        raise ValueError(f"expected a finite number, got {raw!r}")
     return value
 
 
-def _as_int(raw, path, section, key):
+def _integer(raw):
     try:
         return int(raw)
     except ValueError:
+        raise ValueError(f"expected an integer, got {raw!r}") from None
+
+
+def _boolean(raw):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("expected a boolean") from None
+
+
+def _word(raw):
+    return raw.strip().lower()
+
+
+def _one_of(key, choices):
+    def parse(raw):
+        value = _word(raw)
+        if value not in choices:
+            raise ValueError(f"{key} must be one of {choices}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _numbers(raw):
+    return tuple(_finite(piece) for piece in raw.replace(",", " ").split())
+
+
+def _oracles(raw):
+    names = tuple(token.lower() for token in raw.replace(",", " ").split())
+    for name in names:
+        if name not in _ORACLES:
+            raise ValueError(f"unknown oracle {name!r}; known: {_ORACLES}")
+    return names
+
+
+def _quadrature(raw):
+    word = _word(raw)
+    return None if word == "amplitude" else _finite(word)
+
+
+_REQUIRED = object()
+_OPTIONAL_SECTIONS = ("grid", "sweep")  # absent = no grid / no sweep
+_PARAMETER_SECTIONS = ("transition", "drive", "medium", "input")
+
+# Every scenario key: (section, key, parser, default). A _REQUIRED key must
+# be present, and so must its section unless that section is optional.
+# Keys are read in this order, so it is also the order errors are raised in.
+KEYS = (
+    ("transition", "fg", _finite, _REQUIRED),
+    ("transition", "fe", _finite, _REQUIRED),
+    ("transition", "gamma", _finite, 1.0),
+    ("drive", "polarization", _one_of("polarization", _POLARIZATIONS), _REQUIRED),
+    ("drive", "rabi", _finite, _REQUIRED),
+    ("drive", "detuning", _finite, 0.0),
+    ("medium", "b0", _finite, _REQUIRED),
+    ("input", "eps_a", _finite, 0.0),
+    ("input", "eps_p", _finite, 0.0),
+    ("grid", "symmetrize", _boolean, False),
+    ("grid", "omega_min", _finite, _REQUIRED),
+    ("grid", "omega_max", _finite, _REQUIRED),
+    ("grid", "count", _integer, _REQUIRED),
+    ("grid", "spacing", _one_of("spacing", _SPACINGS), "log"),
+    ("sweep", "parameter", _word, _REQUIRED),
+    ("sweep", "values", _numbers, _REQUIRED),
+    ("output", "quadrature", _quadrature, None),
+    ("output", "oracles", _oracles, ()),
+    ("scenario", "name", str.strip, None),  # None = the file stem
+)
+
+# The physical parameters: Scenario fields, and the sidecar's "parameters".
+PARAMETERS = tuple(
+    key for section, key, _, _ in KEYS if section in _PARAMETER_SECTIONS
+)
+
+
+def _read(parser, path, section, key, parse, default):
+    """One parsed scenario value, or `default` when the key is absent."""
+    if not parser.has_option(section, key):
+        if default is not _REQUIRED:
+            return default
+        if not parser.has_section(section):
+            raise ScenarioError(
+                f"missing required section [{section}]", path=path, section=section
+            )
         raise ScenarioError(
-            f"expected an integer, got {raw!r}", path=path, section=section, key=key
+            "missing required key", path=path, section=section, key=key
+        )
+    try:
+        return parse(parser.get(section, key))
+    except (configparser.Error, ValueError) as exc:
+        raise ScenarioError(
+            str(exc), path=path, section=section, key=key
         ) from None
-
-
-def _optional_float(parser, section, key, default, path):
-    if parser.has_section(section) and parser.has_option(section, key):
-        return _as_float(parser.get(section, key), path, section, key)
-    return default
 
 
 def load_scenario(path):
@@ -182,115 +241,29 @@ def load_scenario(path):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}", path=path) from exc
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ScenarioError(str(exc), path=path) from exc
 
-    fg = _as_float(_require(parser, "transition", "fg", path), path, "transition", "fg")
-    fe = _as_float(_require(parser, "transition", "fe", path), path, "transition", "fe")
-    gamma = _optional_float(parser, "transition", "gamma", 1.0, path)
-
-    polarization = _require(parser, "drive", "polarization", path).strip().lower()
-    if polarization not in _POLARIZATIONS:
-        raise ScenarioError(
-            f"polarization must be one of {_POLARIZATIONS}, got {polarization!r}",
-            path=path,
-            section="drive",
-            key="polarization",
+    read = {}
+    for section, key, parse, default in KEYS:
+        if section in _OPTIONAL_SECTIONS and not parser.has_section(section):
+            continue
+        read.setdefault(section, {})[key] = _read(
+            parser, path, section, key, parse, default
         )
-    rabi = _as_float(_require(parser, "drive", "rabi", path), path, "drive", "rabi")
-    detuning = _optional_float(parser, "drive", "detuning", 0.0, path)
 
-    b0 = _as_float(_require(parser, "medium", "b0", path), path, "medium", "b0")
-
-    eps_a = _optional_float(parser, "input", "eps_a", 0.0, path)
-    eps_p = _optional_float(parser, "input", "eps_p", 0.0, path)
-
-    grid = None
-    if parser.has_section("grid"):
-        try:
-            symmetrize = parser.getboolean("grid", "symmetrize", fallback=False)
-        except ValueError:
-            raise ScenarioError(
-                "expected a boolean",
-                path=path,
-                section="grid",
-                key="symmetrize",
-            ) from None
-        grid = GridSpec(
-            omega_min=_as_float(
-                _require(parser, "grid", "omega_min", path), path, "grid", "omega_min"
-            ),
-            omega_max=_as_float(
-                _require(parser, "grid", "omega_max", path), path, "grid", "omega_max"
-            ),
-            count=_as_int(
-                _require(parser, "grid", "count", path), path, "grid", "count"
-            ),
-            spacing=parser.get("grid", "spacing", fallback="log").strip().lower(),
-            symmetrize=symmetrize,
-        )
-        if grid.spacing not in _SPACINGS:
-            raise ScenarioError(
-                f"spacing must be one of {_SPACINGS}, got {grid.spacing!r}",
-                path=path,
-                section="grid",
-                key="spacing",
-            )
-
-    sweep = None
-    if parser.has_section("sweep"):
-        parameter = (
-            _require(parser, "sweep", "parameter", path).strip().lower()
-        )
-        raw_values = _require(parser, "sweep", "values", path)
-        pieces = raw_values.replace(",", " ").split()
-        values = tuple(
-            _as_float(piece, path, "sweep", "values") for piece in pieces
-        )
-        sweep = SweepSpec(parameter=parameter, values=values)
-
-    quadrature_theta = None
-    if parser.has_section("output") and parser.has_option("output", "quadrature"):
-        raw = parser.get("output", "quadrature").strip().lower()
-        if raw != "amplitude":
-            quadrature_theta = _as_float(raw, path, "output", "quadrature")
-
-    oracles = ()
-    if parser.has_section("output") and parser.has_option("output", "oracles"):
-        raw = parser.get("output", "oracles").replace(",", " ").split()
-        oracles = tuple(token.lower() for token in raw)
-        for token in oracles:
-            if token not in _ORACLES:
-                raise ScenarioError(
-                    f"unknown oracle {token!r}; known: {_ORACLES}",
-                    path=path,
-                    section="output",
-                    key="oracles",
-                )
-
-    name = path.stem
-    if parser.has_section("scenario") and parser.has_option("scenario", "name"):
-        name = parser.get("scenario", "name").strip()
-
+    name = read["scenario"]["name"]
     return Scenario(
-        name=name,
-        fg=fg,
-        fe=fe,
-        gamma=gamma,
-        polarization=polarization,
-        rabi=rabi,
-        detuning=detuning,
-        b0=b0,
-        eps_a=eps_a,
-        eps_p=eps_p,
-        grid=grid,
-        sweep=sweep,
-        oracles=oracles,
-        quadrature_theta=quadrature_theta,
+        name=path.stem if name is None else name,
+        **{key: value for s in _PARAMETER_SECTIONS for key, value in read[s].items()},
+        grid=GridSpec(**read["grid"]) if "grid" in read else None,
+        sweep=SweepSpec(**read["sweep"]) if "sweep" in read else None,
+        oracles=read["output"]["oracles"],
+        quadrature_theta=read["output"]["quadrature"],
     )
 
 
@@ -309,7 +282,7 @@ def validate_scenario(scenario):
     if sweep is not None and sweep.parameter in _SWEEPABLE and sweep.values:
         points = [scenario.with_sweep_value(v) for v in sweep.values]
     for point in points:
-        errors.extend(_point_errors(point))
+        errors.extend(point_inputs(point)[1])
         _check_ranges(point, warnings)
 
     if scenario.grid is None:
@@ -335,10 +308,15 @@ def validate_scenario(scenario):
     return list(dict.fromkeys(warnings)), list(dict.fromkeys(errors))
 
 
-def _point_errors(point):
-    """The constructors' ArgumentErrors for one effective scenario point."""
+def point_inputs(point):
+    """The pipeline inputs of one effective scenario point, and their errors.
+
+    Returns ((LevelScheme, DriveConfig, MediumParams, input matrix), errors).
+    A constructor that raises ArgumentError leaves None in its place and
+    adds its message, prefixed with where the values come from, to errors.
+    """
     basis = PolarizationBasis(PolarizationMode(point.polarization))
-    errors = []
+    inputs, errors = [], []
     for prefix, construct, args in (
         ("transition: ", LevelScheme, (point.fg, point.fe, point.gamma)),
         ("drive.", DriveConfig, (basis, point.rabi, point.detuning)),
@@ -346,10 +324,11 @@ def _point_errors(point):
         ("input.", excess_noise_input, (point.eps_a, point.eps_p)),
     ):
         try:
-            construct(*args)
+            inputs.append(construct(*args))
         except ArgumentError as exc:
+            inputs.append(None)
             errors.append(f"{prefix}{exc}")
-    return errors
+    return tuple(inputs), errors
 
 
 def _check_ranges(point, warnings):

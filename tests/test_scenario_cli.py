@@ -144,6 +144,24 @@ count = 3
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.ini")
 
+    def test_undecodable_file_is_scenario_error(self, tmp_path):
+        path = tmp_path / "scn.ini"
+        path.write_bytes(GOOD.encode().replace(b"b0 = 0.2", b"b0 = 0.2\xff"))
+        with pytest.raises(ScenarioError, match="cannot read scenario file"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("b0 = 0.2", "b0 = 10%", "[medium] b0: "),
+        ("name = demo", "name = 50%", "[scenario] name: "),
+        ("rabi = 0.5", "rabi = %(missing)s", "[drive] rabi: "),
+    ])
+    def test_interpolation_error_names_section_and_key(
+        self, tmp_path, old, new, where
+    ):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(write(tmp_path, GOOD.replace(old, new)))
+        assert str(err.value).startswith(f"{tmp_path / 'scn.ini'}: {where}")
+
     def test_quadrature_angle(self, tmp_path):
         text = GOOD.replace("quadrature = amplitude", "quadrature = 1.5708")
         s = load_scenario(write(tmp_path, text))
@@ -284,22 +302,16 @@ class TestValidation:
             raise AssertionError("validate_scenario built the grid")
 
         monkeypatch.setattr(GridSpec, "build", no_build)
-
-        def linear(omega_min, count):
-            return self.base(
-                tmp_path,
-                **{
-                    "spacing = log": "spacing = linear",
-                    "omega_min = 1e-3": f"omega_min = {omega_min}",
-                    "count = 7": f"count = {count}",
-                },
-            )
-
-        # an even count on bounds symmetric about 0 steps over it
-        assert validate_scenario(linear(-5.0, 10**11)) == ([], [])
-        # step 8 / 2**37 is exact, so point 3 * 2**34 is exactly 0
-        _, errors = validate_scenario(linear(-3.0, 2**37 + 1))
-        assert any("Omega = 0" in e for e in errors)
+        text = GOOD.replace("spacing = log", "spacing = linear").replace(
+            "count = 7", "count = 100000000000"
+        )
+        scn = write(tmp_path, text)
+        _, errors = validate_scenario(load_scenario(scn))
+        assert errors == ["grid.count must be <= 1000000, got 100000000000"]
+        out = tmp_path / "results"
+        assert main(["validate", str(scn)]) == 2
+        assert main(["run", str(scn), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 _BOUND = st.one_of(
@@ -315,6 +327,49 @@ def test_closed_form_zero_rule_matches_built_grid(lo, hi, count, symmetrize):
     grid = GridSpec(lo, hi, count, spacing="linear", symmetrize=symmetrize)
     zero_error = any("Omega = 0" in e for e in grid.problems())
     assert zero_error == (lo < hi and bool(np.any(grid.build() == 0)))
+
+
+# Every key a scenario file may hold, by section.
+_KNOWN_KEYS = {
+    "scenario": ("name",),
+    "transition": ("fg", "fe", "gamma"),
+    "drive": ("polarization", "rabi", "detuning"),
+    "medium": ("b0",),
+    "input": ("eps_a", "eps_p"),
+    "grid": ("omega_min", "omega_max", "count", "spacing", "symmetrize"),
+    "sweep": ("parameter", "values"),
+    "output": ("oracles", "quadrature"),
+}
+_VALUE = st.one_of(
+    st.sampled_from([
+        "", "%", "10%", "100%%", "%(fg)s", "%(nowhere)s", "1", "2", "-1", "0",
+        "0.5", "1e5", "nan", "inf", "1e400", "linear", "circular", "log",
+        "true", "no", "qrt", "mollow tarot", "amplitude", "rabi", "0.1, 1",
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=12),
+)
+_SECTIONS = st.fixed_dictionaries({}, optional={
+    section: st.dictionaries(st.sampled_from(keys), _VALUE)
+    for section, keys in _KNOWN_KEYS.items()
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections=_SECTIONS)
+def test_any_known_key_text_loads_or_raises_scenario_error(tmp_path_factory, sections):
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in sections.items()
+    )
+    path = tmp_path_factory.mktemp("fuzz") / "scn.ini"
+    path.write_text(text, encoding="utf-8")
+    try:
+        scenario = load_scenario(path)
+    except ScenarioError:
+        return
+    warnings, errors = validate_scenario(scenario)
+    assert all(isinstance(m, str) for m in warnings + errors)
 
 
 NOSWEEP = """
@@ -413,6 +468,28 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err
         assert "undriven" in err
+
+    def test_vanishing_carrier_exits_3_and_names_point(self, tmp_path, capsys):
+        text = NOSWEEP.replace("rabi = 1.0", "rabi = 0.1").replace(
+            "b0 = 0.1", "b0 = 1e5"
+        )
+        scn = write(tmp_path, text, name="opaque.ini")
+        out = tmp_path / "o"
+        assert main(["run", str(scn), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "physics failure: scenario point 'opaque'" in err
+        assert "vanishing carrier" in err
+        assert not out.exists()
+
+    def test_interpolation_error_exits_2_without_output(self, tmp_path, capsys):
+        text = NOSWEEP.replace("b0 = 0.1", "b0 = 10%")
+        scn = write(tmp_path, text, name="pct.ini")
+        out = tmp_path / "results"
+        assert main(["validate", str(scn)]) == 2
+        assert "[medium] b0: " in capsys.readouterr().err
+        assert main(["run", str(scn), "--out", str(out)]) == 2
+        assert "[medium] b0: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_failure_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
