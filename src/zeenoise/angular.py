@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import ArgumentError
 
+# Largest Fg or Fe. At Fg = Fe = 10, n^2 = 1764 and each dense n^2 x n^2
+# complex matrix of the pipeline takes about 50 MB.
+MAX_F = 10
+
 
 def _as_half_integer(x, name):
     f = Fraction(x).limit_denominator(2)
@@ -109,6 +113,9 @@ class LevelScheme:
         fe = _as_half_integer(self.fe, "Fe")
         if fg < 0 or fe < 0:
             raise ArgumentError("angular momenta must be >= 0")
+        for key, value in (("fg", self.fg), ("fe", self.fe)):
+            if value > MAX_F:
+                raise ArgumentError(f"{key} must be <= {MAX_F}, got {value}")
         if abs(fe - fg) > 1 or (fg == 0 and fe == 0):
             raise ArgumentError(
                 f"Fg={self.fg}, Fe={self.fe} is not a dipole-allowed pair"

@@ -66,11 +66,6 @@ class Liouvillian:
         return self.scheme.n
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    rho: np.ndarray
-
-
 def hamiltonian(scheme, drive):
     d1 = drive.basis.driven_operator(scheme)
     h = -drive.detuning * scheme.excited_projector().astype(complex)
@@ -114,7 +109,8 @@ def build_generator(scheme, drive):
 
 
 def steady_state(liouvillian):
-    """Unique trace-1 Hermitian null vector of the generator.
+    """Steady-state density matrix rho: the unique trace-1 Hermitian null
+    vector of the generator, returned as an n x n complex array.
 
     Raises DegenerateSteadyStateError when the null space has dimension
     other than one (for example Omega1 = 0, where ground coherences and
@@ -142,4 +138,4 @@ def steady_state(liouvillian):
     residual = np.abs(g @ vec(rho)).max()
     if residual > 1e-8:
         raise NumericalError(f"steady-state residual {residual:.2e} too large")
-    return SteadyState(rho=rho)
+    return rho

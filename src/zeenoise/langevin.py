@@ -12,8 +12,6 @@ row of M. No ordering is imposed: negativity of normally-ordered blocks
 is physical (it is what produces squeezing downstream).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conventions import expectation_vector, vec
@@ -22,24 +20,12 @@ from .errors import StationarityError
 _STATIONARITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class DiffusionMatrix:
-    """d holds D_{mu,nu}; force correlations correspond to 2*d."""
+def diffusion_matrix(liouvillian, rho):
+    """Force-correlation matrix 2D (n^2 x n^2) by the Einstein relation.
 
-    d: np.ndarray
-
-    @property
-    def two_d(self):
-        return 2.0 * self.d
-
-
-def diffusion_matrix(liouvillian, steady):
-    """Einstein-relation diffusion matrix at the given steady state.
-
-    `steady` may be a SteadyState or a bare density matrix; it must be
-    stationary under the Liouvillian's generator.
+    `rho` is the density matrix, and it must be stationary under the
+    Liouvillian's generator.
     """
-    rho = getattr(steady, "rho", steady)
     n = liouvillian.n
     g = liouvillian.generator
     m = liouvillian.drift
@@ -63,5 +49,4 @@ def diffusion_matrix(liouvillian, steady):
     t1 = np.einsum("bc,ad->abcd", np.eye(n), ms2)
     t2 = np.einsum("abmc,md->abcd", m4, sm)
     t3 = np.einsum("cdbm,am->abcd", m4, sm)
-    two_d = (t1 - t2 - t3).reshape(n * n, n * n, order="F")
-    return DiffusionMatrix(d=0.5 * two_d)
+    return (t1 - t2 - t3).reshape(n * n, n * n, order="F")

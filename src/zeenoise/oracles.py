@@ -57,14 +57,14 @@ def mollow_spectrum(omega, rabi, detuning=0.0, gamma=1.0):
     return out
 
 
-def qrt_spectrum(liouvillian, steady, a_op, b_op, omega):
+def qrt_spectrum(liouvillian, rho, a_op, b_op, omega):
     """One-sided regression spectrum int_0^inf dt e^{i w t} <dA(t) dB(0)>.
 
-    Works directly on the master-equation generator; for the Hermitian pair
-    (A, B) = (X+, X-) the physical two-sided spectrum is 2 Re of this.
-    Returns a complex array over `omega`.
+    Works directly on the master-equation generator from the steady-state
+    density matrix `rho`; for the Hermitian pair (A, B) = (X+, X-) the
+    physical two-sided spectrum is 2 Re of this. Returns a complex array
+    over `omega`.
     """
-    rho = getattr(steady, "rho", steady)
     gen = liouvillian.generator
     n2 = gen.shape[0]
     omega = np.atleast_1d(np.asarray(omega, dtype=float))

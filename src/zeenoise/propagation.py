@@ -82,33 +82,25 @@ def _resolvent(drift, omega):
     return r
 
 
-def atomic_response(liouvillian, diffusion, omega):
+def atomic_response(liouvillian, two_d, omega):
     """Resolvent R(Omega) and fluctuation kernel C(Omega) at one frequency."""
     r_plus = _resolvent(liouvillian.drift, omega)
     r_minus = _resolvent(liouvillian.drift, -omega)
-    c = r_plus @ diffusion.two_d @ r_minus.T
-    return r_plus, c
+    return r_plus, r_plus @ two_d @ r_minus.T
 
 
-def propagate(
-    input_matrix,
-    medium,
-    liouvillian,
-    diffusion,
-    steady,
-    grid,
-):
+def propagate(input_matrix, medium, liouvillian, two_d, rho, grid):
     """Push the input field through the thin atomic sample.
 
     `input_matrix` is the spectral matrix of the driven component (the
-    orthogonal input component is always vacuum). Returns an OutputField
-    with per-component spectra on `grid`; at b0 = 0 the output equals the
-    input exactly.
+    orthogonal input component is always vacuum); `two_d` is the
+    force-correlation matrix 2D from `diffusion_matrix` and `rho` the
+    steady-state density matrix. Returns an OutputField with per-component
+    spectra on `grid`; at b0 = 0 the output equals the input exactly.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ArgumentError("frequency grid is empty")
-    rho = getattr(steady, "rho", steady)
     scheme = liouvillian.scheme
     drive = liouvillian.drive
     b0 = medium.b0
@@ -125,7 +117,6 @@ def propagate(
     }
 
     if b0 > 0:
-        two_d = diffusion.two_d
         indices = {}   # |Omega| -> grid indices, grouped in one pass
         for i, w in enumerate(np.abs(grid).tolist()):
             indices.setdefault(w, []).append(i)

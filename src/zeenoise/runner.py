@@ -34,11 +34,6 @@ from .oracles import mollow_spectrum, qrt_spectrum
 from .propagation import propagate
 from .scenario import PARAMETERS, point_inputs
 
-BASE_COLUMNS = ("omega_over_gamma", "s_opt_e1", "s_opt_e2", "s_x_e1", "s_x_e2")
-ORACLE_COLUMNS = {
-    "qrt": ("qrt_opt_e1", "qrt_opt_e2"),
-    "mollow": ("mollow_opt_e1",),
-}
 OUTPUT_DIR_ENV = "ZEENOISE_OUT"
 DEFAULT_OUTPUT_DIR = "zeenoise-out"
 
@@ -47,7 +42,6 @@ DEFAULT_OUTPUT_DIR = "zeenoise-out"
 class PointResult:
     """Computed table for one scenario point (one sweep value)."""
 
-    grid: np.ndarray
     columns: dict      # column name -> float array, or None (empty fields)
     metadata: dict
 
@@ -60,11 +54,11 @@ def compute_point(scenario):
     if errors:
         raise ArgumentError("; ".join(errors))
     liou = build_generator(scheme, drive)
-    steady = steady_state(liou)
-    diff = diffusion_matrix(liou, steady)
+    rho = steady_state(liou)
+    two_d = diffusion_matrix(liou, rho)
     grid = scenario.grid.build()
 
-    out = propagate(input_matrix, medium, liou, diff, steady, grid)
+    out = propagate(input_matrix, medium, liou, two_d, rho, grid)
 
     if scenario.quadrature_theta is not None:
         theta = float(scenario.quadrature_theta)
@@ -74,7 +68,7 @@ def compute_point(scenario):
         theta_source = "amplitude"
 
     columns = {
-        "omega_over_gamma": grid.copy(),
+        "omega_over_gamma": grid,
         "s_opt_e1": optical_spectrum(out.spectra[1]).values,
         "s_opt_e2": optical_spectrum(out.spectra[2]).values,
         "s_x_e1": quadrature_noise(out.spectra[1], theta).values,
@@ -87,9 +81,7 @@ def compute_point(scenario):
         if oracle == "qrt":
             for comp, name in ((1, "qrt_opt_e1"), (2, "qrt_opt_e2")):
                 op = drive.basis.operator(scheme, comp)
-                one_sided = qrt_spectrum(
-                    liou, steady, op.conj().T, op, wabs
-                )
+                one_sided = qrt_spectrum(liou, rho, op.conj().T, op, wabs)
                 columns[name] = kappa2 * 2.0 * one_sided.real
         elif oracle == "mollow":
             if scenario.polarization == "circular":
@@ -111,16 +103,9 @@ def compute_point(scenario):
         "carrier_e2": [out.carrier[2].real, out.carrier[2].imag],
         "phi_e1": out.phi[1],
         "phi_e2": out.phi[2],
-        "columns": [c for c in _column_order(scenario)],
+        "columns": list(columns),
     }
-    return PointResult(grid=grid, columns=columns, metadata=metadata)
-
-
-def _column_order(scenario):
-    order = list(BASE_COLUMNS)
-    for oracle in scenario.oracles:
-        order.extend(ORACLE_COLUMNS[oracle])
-    return order
+    return PointResult(columns=columns, metadata=metadata)
 
 
 def _format(value):
@@ -134,15 +119,12 @@ def write_point(result, out_dir, label):
     csv_path = out_dir / f"{label}.csv"
     json_path = out_dir / f"{label}.json"
 
-    order = result.metadata["columns"]
-    lines = [", ".join(order)]
-    npoints = result.grid.size
-    for i in range(npoints):
-        fields = []
-        for name in order:
-            col = result.columns.get(name)
-            fields.append("" if col is None else _format(col[i]))
-        lines.append(",".join(fields))
+    columns = result.columns
+    lines = [", ".join(columns)]
+    for i in range(len(columns["omega_over_gamma"])):
+        lines.append(",".join(
+            "" if col is None else _format(col[i]) for col in columns.values()
+        ))
     csv_path.write_text("\n".join(lines) + "\n")
 
     json_path.write_text(

@@ -48,12 +48,15 @@ class GridSpec:
     symmetrize: bool = False  # mirror to negative frequencies
 
     def build(self):
-        if self.spacing == "log":
-            grid = np.logspace(
-                np.log10(self.omega_min), np.log10(self.omega_max), self.count
-            )
-        else:
-            grid = np.linspace(self.omega_min, self.omega_max, self.count)
+        # Near the float limit an intermediate may overflow; problems()
+        # rejects a grid that is not finite.
+        with np.errstate(over="ignore"):
+            if self.spacing == "log":
+                grid = np.logspace(
+                    np.log10(self.omega_min), np.log10(self.omega_max), self.count
+                )
+            else:
+                grid = np.linspace(self.omega_min, self.omega_max, self.count)
         if self.symmetrize:
             grid = np.concatenate((-grid[::-1], grid))
         return grid
@@ -76,7 +79,21 @@ class GridSpec:
                 f"grid bounds are inverted: omega_min = {self.omega_min} >= "
                 f"omega_max = {self.omega_max}"
             )
-        if not errors and np.any(self.build() == 0):
+        elif self.spacing == "linear" and not np.isfinite(
+            self.omega_max - self.omega_min
+        ):
+            errors.append(
+                f"grid span omega_max - omega_min overflows: omega_min = "
+                f"{self.omega_min}, omega_max = {self.omega_max}"
+            )
+        if errors:
+            return errors
+        grid = self.build()
+        if not np.all(np.isfinite(grid)):
+            errors.append(
+                f"grid.omega_max = {self.omega_max} overflows the {self.spacing} grid"
+            )
+        elif np.any(grid == 0):
             errors.append(
                 "grid contains Omega = 0 (zero-frequency fluctuation "
                 "response is singular on the steady-state manifold); "
@@ -172,6 +189,8 @@ def _oracles(raw):
     for name in names:
         if name not in _ORACLES:
             raise ValueError(f"unknown oracle {name!r}; known: {_ORACLES}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"an oracle is named twice in {names}")
     return names
 
 

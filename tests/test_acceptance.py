@@ -240,7 +240,7 @@ def test_invariant_suite():
                 liou = build_generator(
                     SCHEME, DriveConfig(basis=basis, rabi=rabi, detuning=det)
                 )
-                rho = steady_state(liou).rho
+                rho = steady_state(liou)
                 assert abs(np.trace(rho) - 1.0) < 1e-12
                 assert np.abs(rho - rho.conj().T).max() < 1e-12
                 assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -248,7 +248,7 @@ def test_invariant_suite():
     # circular drive confines the atom to the stretched pair
     basis = PolarizationBasis(PolarizationMode("circular"))
     liou = build_generator(SCHEME, DriveConfig(basis=basis, rabi=1.0))
-    rho = steady_state(liou).rho
+    rho = steady_state(liou)
     pair = (
         rho[SCHEME.ground_index(+1), SCHEME.ground_index(+1)].real
         + rho[SCHEME.excited_index(+2), SCHEME.excited_index(+2)].real

@@ -76,21 +76,21 @@ class TestSteadyState:
             ("linear", 0.1, 0.0),
             ("linear", 5.0, 1.0),
         ]:
-            rho = steady_state(make(mode, rabi, det)).rho
+            rho = steady_state(make(mode, rabi, det))
             assert np.abs(rho - rho.conj().T).max() < 1e-12
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_circular_drive_pumps_into_stretched_pair(self):
         """Optical pumping confines the atom to (g,M=+1), (e,M=+2)."""
-        rho = steady_state(make("circular", rabi=1.0)).rho
+        rho = steady_state(make("circular", rabi=1.0))
         g_top = SCHEME.ground_index(+1)
         e_top = SCHEME.excited_index(+2)
         assert rho[g_top, g_top].real + rho[e_top, e_top].real > 1 - 1e-10
 
     def test_circular_drive_matches_two_level_formula(self):
         for rabi, det in [(0.5, 0.0), (1.0, 0.0), (2.0, 1.0), (0.2, -0.7)]:
-            rho = steady_state(make("circular", rabi, det)).rho
+            rho = steady_state(make("circular", rabi, det))
             e_top = SCHEME.excited_index(+2)
             ref = two_level_reference(rabi, det, gamma=1.0)
             assert rho[e_top, e_top].real == pytest.approx(
@@ -100,7 +100,7 @@ class TestSteadyState:
     def test_saturation_value_on_resonance(self):
         # rabi = gamma gives excited population exactly 1/3... of the
         # effective two-level pair
-        rho = steady_state(make("circular", rabi=1.0)).rho
+        rho = steady_state(make("circular", rabi=1.0))
         e_top = SCHEME.excited_index(+2)
         assert rho[e_top, e_top].real == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -132,7 +132,7 @@ class TestSteadyState:
         rhs[-1] = 1
         r2 = np.linalg.lstsq(lmat, rhs, rcond=None)[0].reshape(2, 2)
 
-        rho = steady_state(make("circular", rabi, det)).rho
+        rho = steady_state(make("circular", rabi, det))
         gi, ei = SCHEME.ground_index(+1), SCHEME.excited_index(+2)
         pair = np.array(
             [[rho[gi, gi], rho[gi, ei]], [rho[ei, gi], rho[ei, ei]]]
@@ -140,7 +140,7 @@ class TestSteadyState:
         assert np.abs(pair - r2).max() < 1e-10
 
     def test_linear_drive_is_m_symmetric(self):
-        rho = steady_state(make("linear", rabi=0.8)).rho
+        rho = steady_state(make("linear", rabi=0.8))
         for m in (0, 1):
             assert rho[
                 SCHEME.ground_index(m), SCHEME.ground_index(m)
@@ -202,7 +202,7 @@ class TestEvolve:
 
     def test_long_time_limit_is_steady_state(self):
         liou = make("linear", rabi=1.0, detuning=0.3)
-        target = steady_state(liou).rho
+        target = steady_state(liou)
         rho0 = np.eye(8, dtype=complex) / 8
         rho = evolve(liou, rho0, 200.0)
         assert np.abs(rho - target).max() < 1e-8

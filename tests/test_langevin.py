@@ -32,7 +32,7 @@ def test_hermiticity_pairing():
     for mode, rabi, det in [("circular", 1.0, 0.0), ("linear", 0.7, 0.9)]:
         scheme, liou, steady = setup_system(mode, rabi, det)
         n = scheme.n
-        two_d = diffusion_matrix(liou, steady).two_d
+        two_d = diffusion_matrix(liou, steady)
         worst = 0.0
         for a in range(n):
             for b in range(n):
@@ -50,7 +50,7 @@ def test_no_dissipation_no_diffusion():
     basis = PolarizationBasis(PolarizationMode.LINEAR)
     liou = build_generator(scheme, DriveConfig(basis=basis, rabi=0.0))
     rho = np.eye(scheme.n, dtype=complex) / scheme.n  # stationary: [H, I] = 0
-    two_d = diffusion_matrix(liou, rho).two_d
+    two_d = diffusion_matrix(liou, rho)
     assert np.abs(two_d).max() < 1e-14
 
 
@@ -70,7 +70,7 @@ def test_ground_block_scales_as_rabi_squared():
     """
     def gg_block_norm(rabi):
         scheme, liou, steady = setup_system("linear", rabi)
-        two_d = diffusion_matrix(liou, steady).two_d
+        two_d = diffusion_matrix(liou, steady)
         n = scheme.n
         gg = [a + n * b for a in range(3) for b in range(3)]
         return np.abs(two_d[np.ix_(gg, gg)]).max()
@@ -84,9 +84,9 @@ def test_dilation_invariance():
     s = 2.0
     _, liou1, st1 = setup_system("linear", 0.8, 0.3, gamma=1.0)
     _, liou2, st2 = setup_system("linear", s * 0.8, s * 0.3, gamma=s)
-    d1 = diffusion_matrix(liou1, st1).two_d
-    d2 = diffusion_matrix(liou2, st2).two_d
-    assert np.abs(st1.rho - st2.rho).max() < 1e-12
+    d1 = diffusion_matrix(liou1, st1)
+    d2 = diffusion_matrix(liou2, st2)
+    assert np.abs(st1 - st2).max() < 1e-12
     assert np.abs(d2 - s * d1).max() < 1e-12
 
 
@@ -96,7 +96,7 @@ def test_matches_bruteforce_two_level_subspace():
     rabi, det, gamma = 1.3, 0.5, 1.0
     scheme, liou, steady = setup_system("circular", rabi, det, gamma)
     n = scheme.n
-    two_d = diffusion_matrix(liou, steady).two_d
+    two_d = diffusion_matrix(liou, steady)
 
     # hand-built 2x2 system: states (g, e) = (|1,+1>, |2,+2>)
     sm = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -121,7 +121,7 @@ def test_matches_bruteforce_two_level_subspace():
     gi, ei = scheme.ground_index(+1), scheme.excited_index(+2)
     pair = (gi, ei)
     rho2 = np.array(
-        [[steady.rho[pair[i], pair[j]] for j in range(2)] for i in range(2)]
+        [[steady[pair[i], pair[j]] for j in range(2)] for i in range(2)]
     )
     s2 = rho2.T.flatten(order="F")
     ms = m2 @ s2

@@ -1,6 +1,7 @@
 """The package surface: what `import zeenoise` exports and what it loads."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 import zeenoise
 from zeenoise import errors
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _library_use_imports():
@@ -49,3 +51,19 @@ def test_cli_import_leaves_peak_analysis_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_traced_names_resolve_to_callables():
+    """Every (module, name) the bench tracer wraps exists and is callable."""
+    tree = ast.parse((ROOT / "perfbench" / "trace_cli.py").read_text())
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"]
+    )
+    assert wrapped
+    for module_name, names in wrapped.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

@@ -1,11 +1,12 @@
 """Scenario files, validation diagnostics, CLI behavior, output format."""
 
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeenoise import (
@@ -19,6 +20,7 @@ from zeenoise import (
     load_scenario,
     validate_scenario,
 )
+from zeenoise import runner
 from zeenoise.cli import PRESET_GROUPS, main
 from zeenoise.scenario import GridSpec
 
@@ -316,17 +318,34 @@ class TestValidation:
 
 _BOUND = st.one_of(
     st.integers(-400, 400).map(lambda k: k / 8),  # bounds that often hit 0
-    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),  # up to +-1.8e308
 )
 
 
 @settings(max_examples=500, deadline=None)
-@given(lo=_BOUND, hi=_BOUND, count=st.integers(2, 200), symmetrize=st.booleans())
-def test_closed_form_zero_rule_matches_built_grid(lo, hi, count, symmetrize):
+@given(
+    lo=_BOUND,
+    hi=_BOUND,
+    count=st.integers(0, 200),
+    spacing=st.sampled_from(["linear", "log"]),
+    symmetrize=st.booleans(),
+)
+@example(lo=-1e308, hi=1e308, count=4, spacing="linear", symmetrize=False)
+@example(lo=1.0, hi=1.7976931348623157e308, count=4, spacing="log", symmetrize=False)
+@example(lo=0.125, hi=1.7976931348623157e308, count=7, spacing="linear", symmetrize=False)
+def test_accepted_grid_builds_finite_nonzero_points(
+    lo, hi, count, spacing, symmetrize
+):
     lo, hi = min(lo, hi), max(lo, hi)
-    grid = GridSpec(lo, hi, count, spacing="linear", symmetrize=symmetrize)
-    zero_error = any("Omega = 0" in e for e in grid.problems())
-    assert zero_error == (lo < hi and bool(np.any(grid.build() == 0)))
+    grid = GridSpec(lo, hi, count, spacing=spacing, symmetrize=symmetrize)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        if grid.problems():
+            return
+        built = grid.build()
+    assert built.size == (2 if symmetrize else 1) * count
+    assert np.all(np.isfinite(built))
+    assert np.all(built != 0)
 
 
 # Every key a scenario file may hold, by section.
@@ -532,6 +551,34 @@ class TestCli:
 
     def test_run_without_scenario_or_preset_exits_2(self, capsys):
         assert main(["run"]) == 2
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("oracles = qrt mollow", "oracles = qrt mollow qrt", "[output] oracles: "),
+        (
+            "omega_min = 0.1\nomega_max = 2.0",
+            "omega_min = -1e308\nomega_max = 1e308\nspacing = linear",
+            "grid span omega_max - omega_min overflows",
+        ),
+        ("fg = 1\nfe = 2", "fg = 40\nfe = 41", "transition: fg must be <= 10, got 40"),
+    ], ids=["duplicate_oracle", "grid_span_overflow", "f_above_cap"])
+    def test_rejected_input_exits_2_without_output(
+        self, tmp_path, capsys, monkeypatch, old, new, message
+    ):
+        def no_build(*args):
+            raise AssertionError("build_generator was called")
+
+        monkeypatch.setattr(runner, "build_generator", no_build)
+        assert old in NOSWEEP
+        scn = write(tmp_path, NOSWEEP.replace(old, new), name="rejected.ini")
+        out = tmp_path / "results"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", str(scn)]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.out + captured.err
+            assert main(["run", str(scn), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPresets:
