@@ -79,19 +79,14 @@ def build_parser():
 
 
 def _preset_scenarios(group):
-    out = []
     base = resources.files("zeenoise").joinpath("presets")
-    for name in PRESET_GROUPS[group]:
-        out.append(base.joinpath(f"{name}.ini"))
-    return out
+    return [base.joinpath(f"{name}.ini") for name in PRESET_GROUPS[group]]
 
 
-def _load_with_diagnostics(source):
-    """Load a scenario from a path or importlib Traversable."""
-    if hasattr(source, "read_text") and not isinstance(source, (str, Path)):
-        with resources.as_file(source) as real_path:
-            return load_scenario(real_path)
-    return load_scenario(source)
+def _load(source):
+    """Load a scenario from a path or an importlib Traversable."""
+    with resources.as_file(source) as path:
+        return load_scenario(path)
 
 
 def _cmd_run(args):
@@ -115,7 +110,7 @@ def _cmd_run(args):
     written = []
     for source in sources:
         try:
-            scenario = _load_with_diagnostics(source)
+            scenario = _load(source)
         except ScenarioError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -73,6 +73,11 @@ def hamiltonian(scheme, drive):
     return h
 
 
+def _adjoint_rows(x, y):
+    """T[a, b, i, j] = x[a, i] * y[b, j]: the image of |a><b| at entry [i, j]."""
+    return np.einsum("ai,bj->abij", x, y)
+
+
 def build_generator(scheme, drive):
     """Assemble the Liouvillian (G and M) for a scheme and drive."""
     if not isinstance(drive.basis, PolarizationBasis):
@@ -91,19 +96,17 @@ def build_generator(scheme, drive):
             - 0.5 * np.kron(cdc.T, eye)
         )
 
-    m = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            basis_op = np.zeros((n, n), dtype=complex)
-            basis_op[a, b] = 1.0
-            lx = 1j * (h @ basis_op - basis_op @ h)
-            for c in jumps:
-                cdc = c.T @ c
-                lx += scheme.gamma * (
-                    c.T @ basis_op @ c
-                    - 0.5 * (cdc @ basis_op + basis_op @ cdc)
-                )
-            m[a + n * b, :] = lx.flatten(order="F")
+    # Row a + n*b of M is the adjoint action on |a><b|, flattened
+    # column-major: X|a><b| = X[:, a]<b|, |a><b|X = |a>X[b, :] and
+    # c^T|a><b|c = c[a, :]^T c[b, :], so every term is one outer product.
+    lx = 1j * (_adjoint_rows(h.T, eye) - _adjoint_rows(eye, h))
+    for c in jumps:
+        cdc = c.T @ c
+        lx += scheme.gamma * (
+            _adjoint_rows(c, c)
+            - 0.5 * (_adjoint_rows(cdc.T, eye) + _adjoint_rows(eye, cdc))
+        )
+    m = lx.transpose(1, 0, 3, 2).reshape(n * n, n * n)
 
     return Liouvillian(generator=g, drift=m, scheme=scheme, drive=drive)
 

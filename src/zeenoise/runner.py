@@ -48,8 +48,6 @@ class PointResult:
 
 def compute_point(scenario):
     """Run the full pipeline for one (effective) scenario."""
-    if scenario.grid is None:
-        raise ArgumentError("scenario has no frequency grid")
     (scheme, drive, medium, input_matrix), errors = point_inputs(scenario)
     if errors:
         raise ArgumentError("; ".join(errors))
@@ -134,23 +132,16 @@ def write_point(result, out_dir, label):
 
 
 def run_scenario(scenario, out_dir):
-    """Compute and write one table per sweep value; returns written paths."""
+    """Compute and write one table per scenario point; returns written paths."""
     written = []
-    for value in scenario.sweep_values():
-        effective = scenario.with_sweep_value(value)
-        if value is None:
-            label = scenario.name
-        else:
-            label = f"{scenario.name}_{scenario.sweep.parameter}_{value:g}"
+    for label, value, point in scenario.points():
         try:
-            result = compute_point(effective)
+            result = compute_point(point)
         except PHYSICS_ERRORS as exc:
             exc.args = (f"scenario point '{label}': {exc}",)
             raise
         result.metadata["label"] = label
-        result.metadata["sweep_parameter"] = (
-            None if scenario.sweep is None else scenario.sweep.parameter
-        )
+        result.metadata["sweep_parameter"] = getattr(scenario.sweep, "parameter", None)
         result.metadata["sweep_value"] = value
         written.extend(write_point(result, out_dir, label))
     return written

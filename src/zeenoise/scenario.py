@@ -120,24 +120,22 @@ class Scenario:
     rabi: float
     detuning: float
     b0: float
+    grid: GridSpec
     eps_a: float = 0.0
     eps_p: float = 0.0
-    grid: Optional[GridSpec] = None
     sweep: Optional[SweepSpec] = None
     oracles: Tuple[str, ...] = field(default_factory=tuple)
     quadrature_theta: Optional[float] = None  # None = amplitude quadrature
 
-    def sweep_values(self):
-        """Sweep values, or the single base value of the swept parameter."""
+    def points(self):
+        """[(label, sweep value, effective scenario)], one per output table."""
         if self.sweep is None:
-            return (None,)
-        return self.sweep.values
-
-    def with_sweep_value(self, value):
-        """A copy with the swept parameter replaced by `value`."""
-        if value is None or self.sweep is None:
-            return self
-        return replace(self, **{self.sweep.parameter: float(value)})
+            return [(self.name, None, self)]
+        key = self.sweep.parameter
+        return [
+            (f"{self.name}_{key}_{value:g}", value, replace(self, **{key: value}))
+            for value in dict.fromkeys(self.sweep.values)
+        ]
 
 
 # Value parsers: each turns the raw INI string into a value, or raises
@@ -181,7 +179,17 @@ def _one_of(key, choices):
 
 
 def _numbers(raw):
-    return tuple(_finite(piece) for piece in raw.replace(",", " ").split())
+    values = tuple(_finite(piece) for piece in raw.replace(",", " ").split())
+    if not values:
+        raise ValueError("expected at least one number")
+    return values
+
+
+def _name(raw):
+    name = raw.strip()
+    if name in ("", ".", "..") or set(name) & set("/\\\0"):
+        raise ValueError(f"expected a plain file name, got {name!r}")
+    return name
 
 
 def _oracles(raw):
@@ -200,7 +208,7 @@ def _quadrature(raw):
 
 
 _REQUIRED = object()
-_OPTIONAL_SECTIONS = ("grid", "sweep")  # absent = no grid / no sweep
+_OPTIONAL_SECTIONS = ("sweep",)  # absent = no sweep
 _PARAMETER_SECTIONS = ("transition", "drive", "medium", "input")
 
 # Every scenario key: (section, key, parser, default). A _REQUIRED key must
@@ -221,11 +229,11 @@ KEYS = (
     ("grid", "omega_max", _finite, _REQUIRED),
     ("grid", "count", _integer, _REQUIRED),
     ("grid", "spacing", _one_of("spacing", _SPACINGS), "log"),
-    ("sweep", "parameter", _word, _REQUIRED),
+    ("sweep", "parameter", _one_of("parameter", _SWEEPABLE), _REQUIRED),
     ("sweep", "values", _numbers, _REQUIRED),
     ("output", "quadrature", _quadrature, None),
     ("output", "oracles", _oracles, ()),
-    ("scenario", "name", str.strip, None),  # None = the file stem
+    ("scenario", "name", _name, None),  # None = the file stem
 )
 
 # The physical parameters: Scenario fields, and the sidecar's "parameters".
@@ -239,12 +247,9 @@ def _read(parser, path, section, key, parse, default):
     if not parser.has_option(section, key):
         if default is not _REQUIRED:
             return default
-        if not parser.has_section(section):
-            raise ScenarioError(
-                f"missing required section [{section}]", path=path, section=section
-            )
+        missing = "key" if parser.has_section(section) else "section"
         raise ScenarioError(
-            "missing required key", path=path, section=section, key=key
+            f"missing required {missing}", path=path, section=section, key=key
         )
     try:
         return parse(parser.get(section, key))
@@ -279,7 +284,7 @@ def load_scenario(path):
     return Scenario(
         name=path.stem if name is None else name,
         **{key: value for s in _PARAMETER_SECTIONS for key, value in read[s].items()},
-        grid=GridSpec(**read["grid"]) if "grid" in read else None,
+        grid=GridSpec(**read["grid"]),
         sweep=SweepSpec(**read["sweep"]) if "sweep" in read else None,
         oracles=read["output"]["oracles"],
         quadrature_theta=read["output"]["quadrature"],
@@ -289,34 +294,22 @@ def load_scenario(path):
 def validate_scenario(scenario):
     """Check physical ranges. Returns (warnings, errors) as string lists.
 
-    The range rules are those of the pipeline's own constructors, run on
-    every effective point, that is on each sweep value substituted into the
-    scenario, so a bad sweep value is caught before anything is computed.
+    The range rules are the pipeline constructors' own, run on every one of
+    `scenario.points()`, so a bad sweep value is caught before any compute.
     """
-    warnings = []
-    errors = []
-
-    points = [scenario]
-    sweep = scenario.sweep
-    if sweep is not None and sweep.parameter in _SWEEPABLE and sweep.values:
-        points = [scenario.with_sweep_value(v) for v in sweep.values]
-    for point in points:
-        errors.extend(point_inputs(point)[1])
-        _check_ranges(point, warnings)
-
-    if scenario.grid is None:
-        errors.append("missing [grid] section: omega_min/omega_max/count")
-    else:
-        errors.extend(scenario.grid.problems())
-
-    if scenario.sweep is not None:
-        if scenario.sweep.parameter not in _SWEEPABLE:
+    warnings, errors, labelled = [], [], {}
+    for label, value, point in scenario.points():
+        if label in labelled:
             errors.append(
-                f"sweep.parameter must be one of {_SWEEPABLE}, "
-                f"got {scenario.sweep.parameter!r}"
+                f"sweep.values {labelled[label]!r} and {value!r} share the "
+                f"table label {label!r}"
             )
-        if len(scenario.sweep.values) == 0:
-            errors.append("sweep.values is empty")
+        labelled[label] = value
+        (scheme, *_), point_errors = point_inputs(point)
+        errors.extend(point_errors)
+        _check_ranges(point, scheme, warnings)
+
+    errors.extend(scenario.grid.problems())
 
     if "mollow" in scenario.oracles and scenario.polarization != "circular":
         warnings.append(
@@ -350,7 +343,7 @@ def point_inputs(point):
     return tuple(inputs), errors
 
 
-def _check_ranges(point, warnings):
+def _check_ranges(point, scheme, warnings):
     """Append the range warnings of one effective scenario point."""
     if point.rabi == 0:
         warnings.append("drive.rabi is 0: the field is undriven vacuum")
@@ -358,4 +351,19 @@ def _check_ranges(point, warnings):
         warnings.append(
             f"medium.b0 = {point.b0} exceeds the dilute/thin-sample "
             "domain (b0 <= 0.5); results are extrapolations"
+        )
+    if scheme is None:
+        return
+    # Ground sublevels the drive leaves uncoupled (dark to it).
+    basis = PolarizationBasis(PolarizationMode(point.polarization))
+    rows = basis.driven_operator(scheme)[: scheme.n_ground]
+    dark = int(np.sum(~rows.any(axis=1)))
+    if dark:
+        warnings.append(
+            f"transition: {dark} ground sublevel(s) dark to the "
+            f"{point.polarization} drive: " + (
+                "the atoms are pumped into it and the spectra are round-off"
+                if dark == 1
+                else "the steady state is not unique and the run exits 3"
+            )
         )

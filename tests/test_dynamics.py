@@ -1,5 +1,7 @@
 """Master-equation generator, steady state, and time evolution."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from zeenoise import (
     build_generator,
     steady_state,
 )
+from zeenoise.angular import dipole_component
 from zeenoise.conventions import expectation_vector, unvec, vec
 from zeenoise.dynamics import hamiltonian
 from zeenoise.oracles import two_level_reference
@@ -66,6 +69,39 @@ def test_drift_is_elementwise_conjugate_of_generator():
     for mode in ("circular", "linear"):
         liou = make(mode, rabi=2.0, detuning=0.8)
         assert np.abs(liou.drift - np.conj(liou.generator)).max() < 1e-12
+
+
+def drift_by_rows(scheme, drive):
+    """M row by row: the adjoint action on each basis operator |a><b|."""
+    n = scheme.n
+    h = hamiltonian(scheme, drive)
+    jumps = [dipole_component(scheme, q) for q in (-1, 0, +1)]
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            basis_op = np.zeros((n, n), dtype=complex)
+            basis_op[a, b] = 1.0
+            lx = 1j * (h @ basis_op - basis_op @ h)
+            for c in jumps:
+                cdc = c.T @ c
+                lx += scheme.gamma * (
+                    c.T @ basis_op @ c
+                    - 0.5 * (cdc @ basis_op + basis_op @ cdc)
+                )
+            m[a + n * b, :] = lx.flatten(order="F")
+    return m
+
+
+@pytest.mark.parametrize("mode", ["circular", "linear"])
+@pytest.mark.parametrize("fg, fe", [
+    (1, 2), (2, 3), (4, 5), (Fraction(1, 2), Fraction(3, 2)), (2, 2),
+])
+def test_broadcast_drift_equals_row_by_row_drift_bitwise(fg, fe, mode):
+    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.3)
+    basis = CIRC if mode == "circular" else LIN
+    drive = DriveConfig(basis=basis, rabi=0.7, detuning=0.3)
+    drift = build_generator(scheme, drive).drift
+    assert drift.tobytes() == drift_by_rows(scheme, drive).tobytes()
 
 
 class TestSteadyState:

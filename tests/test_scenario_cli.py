@@ -215,9 +215,9 @@ class TestValidation:
         text = GOOD
         start = text.index("[grid]")
         end = text.index("[sweep]")
-        s = load_scenario(write(tmp_path, text[:start] + text[end:]))
-        warnings, errors = validate_scenario(s)
-        assert any("grid" in e for e in errors)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(write(tmp_path, text[:start] + text[end:]))
+        assert "[grid] omega_min: missing required section" in str(err.value)
 
     def test_tiny_grid_is_error(self, tmp_path):
         s = self.base(tmp_path, **{"count = 7": "count = 1"})
@@ -251,9 +251,9 @@ class TestValidation:
         assert any("rabi" in w for w in warnings)
 
     def test_unknown_sweep_parameter(self, tmp_path):
-        s = self.base(tmp_path, **{"parameter = rabi": "parameter = phase"})
-        _, errors = validate_scenario(s)
-        assert any("sweep" in e for e in errors)
+        with pytest.raises(ScenarioError) as err:
+            self.base(tmp_path, **{"parameter = rabi": "parameter = phase"})
+        assert "[sweep] parameter: parameter must be one of" in str(err.value)
 
     def test_inverted_grid_bounds_is_error(self, tmp_path):
         s = self.base(tmp_path, **{"omega_min = 1e-3": "omega_min = 5.0"})
@@ -275,6 +275,60 @@ class TestValidation:
         )
         _, errors = validate_scenario(s)
         assert errors == ["medium.b0 must be >= 0, got -1.0"]
+
+    def test_colliding_labels_is_error(self, tmp_path):
+        s = self.base(
+            tmp_path,
+            **{
+                "parameter = rabi": "parameter = b0",
+                "values = 0.5, 1.0": "values = 0.1 0.1000001",
+            },
+        )
+        _, errors = validate_scenario(s)
+        assert errors == [
+            "sweep.values 0.1 and 0.1000001 share the table label 'demo_b0_0.1'"
+        ]
+
+    def test_points_label_each_distinct_sweep_value(self, tmp_path):
+        s = self.base(tmp_path, **{"values = 0.5, 1.0": "values = 0.5 1 0.5"})
+        assert [(label, value, p.rabi) for label, value, p in s.points()] == [
+            ("demo_rabi_0.5", 0.5, 0.5), ("demo_rabi_1", 1.0, 1.0)
+        ]
+        assert validate_scenario(s) == ([], [])
+        text = GOOD[: GOOD.index("[sweep]")] + GOOD[GOOD.index("[output]"):]
+        unswept = load_scenario(write(tmp_path, text))
+        assert unswept.points() == [("demo", None, unswept)]
+
+    # k = ground rows of the driven dipole component that are all zero.
+    @pytest.mark.parametrize("fg, fe, polarization, dark, exit_code", [
+        (1, 2, "linear", 0, 0),
+        (1, 2, "circular", 0, 0),
+        (1.5, 1.5, "linear", 0, 0),
+        (1, 1, "linear", 1, 0),
+        (2, 2, "circular", 1, 0),
+        (1.5, 1.5, "circular", 1, 0),
+        (1, 0, "linear", 2, 3),
+        (2, 1, "circular", 2, 3),
+        (1.5, 0.5, "linear", 2, 3),
+    ])
+    def test_dark_ground_sublevels_warn(
+        self, tmp_path, fg, fe, polarization, dark, exit_code
+    ):
+        text = NOSWEEP.replace("fg = 1\nfe = 2", f"fg = {fg}\nfe = {fe}").replace(
+            "polarization = circular", f"polarization = {polarization}"
+        ).replace("oracles = qrt mollow", "oracles = qrt")
+        scn = write(tmp_path, text)
+        warnings, errors = validate_scenario(load_scenario(scn))
+        assert errors == []
+        if dark == 0:
+            assert warnings == []
+        else:
+            [warning] = warnings
+            assert warning.startswith(
+                f"transition: {dark} ground sublevel(s) dark to the {polarization}"
+            )
+            assert ("round-off" if dark == 1 else "exits 3") in warning
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == exit_code
 
     def test_range_errors_are_the_constructors_own(self, tmp_path):
         s = self.base(
@@ -389,6 +443,44 @@ def test_any_known_key_text_loads_or_raises_scenario_error(tmp_path_factory, sec
         return
     warnings, errors = validate_scenario(scenario)
     assert all(isinstance(m, str) for m in warnings + errors)
+
+
+_NAME = st.one_of(
+    st.sampled_from(["demo", "../escaped", "/abs/evil", "a\\b", ".", "..", "..."]),
+    st.text(max_size=8),
+)
+_SWEPT = st.one_of(
+    st.sampled_from([0.1, 0.1000001, 1e-7, 1.0000001e-7, 0.0, -0.0, 2.5]),
+    st.floats(-10, 10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=_NAME,
+    parameter=st.sampled_from(["rabi", "detuning", "b0", "eps_p", "phase", ""]),
+    values=st.lists(_SWEPT.map(repr), max_size=5),
+)
+def test_valid_scenario_points_have_distinct_labels_inside_out(
+    tmp_path_factory, name, parameter, values
+):
+    text = (
+        GOOD.replace("name = demo", f"name = {name}")
+        .replace("parameter = rabi", f"parameter = {parameter}")
+        .replace("values = 0.5, 1.0", f"values = {' '.join(values)}")
+    )
+    path = tmp_path_factory.mktemp("points") / "scn.ini"
+    path.write_text(text, encoding="utf-8")
+    try:
+        scenario = load_scenario(path)
+    except ScenarioError:
+        return
+    if validate_scenario(scenario)[1]:
+        return
+    labels = [label for label, _, _ in scenario.points()]
+    assert len(set(labels)) == len(labels)
+    out = path.parent / "out"
+    assert all((out / f"{label}.csv").parent == out for label in labels)
 
 
 NOSWEEP = """
@@ -579,6 +671,45 @@ class TestCli:
             assert main(["run", str(scn), "--out", str(out)]) == 2
             assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[grid]\nomega_min = 1e-3\nomega_max = 5.0\ncount = 7\nspacing = log\n", "",
+         "[grid] omega_min: missing required section"),
+        ("parameter = rabi", "parameter = phase",
+         "[sweep] parameter: parameter must be one of"),
+        ("values = 0.5, 1.0", "values =", "[sweep] values: expected at least one"),
+        ("name = demo", "name = ../escaped", "[scenario] name: expected a plain"),
+        ("name = demo", "name = {tmp}/abs/evil", "[scenario] name: expected a plain"),
+        ("name = demo", "name = a\\b", "[scenario] name: expected a plain"),
+        ("name = demo", "name = ..", "[scenario] name: expected a plain"),
+        ("name = demo", "name =", "[scenario] name: expected a plain"),
+        ("name = demo", "name = a\0b", "[scenario] name: expected a plain"),
+        (
+            "parameter = rabi\nvalues = 0.5, 1.0",
+            "parameter = b0\nvalues = 0.1 0.1000001",
+            "share the table label 'demo_b0_0.1'",
+        ),
+    ], ids=[
+        "missing_grid", "unknown_sweep_parameter", "empty_values", "dotdot_name",
+        "absolute_name", "backslash_name", "parent_name", "empty_name", "nul_name",
+        "colliding_labels",
+    ])
+    def test_rejected_sweep_scenario_exits_2_without_output(
+        self, tmp_path, capsys, monkeypatch, old, new, message
+    ):
+        def no_build(*args):
+            raise AssertionError("build_generator was called")
+
+        monkeypatch.setattr(runner, "build_generator", no_build)
+        assert old in GOOD
+        scn = write(tmp_path, GOOD.replace(old, new.format(tmp=tmp_path)))
+        out = tmp_path / "nest" / "out"
+        assert main(["validate", str(scn)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert main(["run", str(scn), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == [scn.name]
 
 
 class TestPresets:
