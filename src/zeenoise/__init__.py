@@ -11,7 +11,7 @@ response (linear drive).
 Typical use:
 
     from zeenoise import (
-        LevelScheme, PolarizationBasis, PolarizationMode, DriveConfig,
+        LevelScheme, PolarizationMode, DriveConfig,
         build_generator, steady_state, diffusion_matrix, excess_noise_input,
         MediumParams, propagate, optical_spectrum, quadrature_noise,
         amplitude_quadrature_angle,
@@ -36,7 +36,7 @@ from .errors import (
     ZeenoiseError,
     ZeroCarrierError,
 )
-from .field import PolarizationBasis, PolarizationMode, excess_noise_input
+from .field import PolarizationMode, excess_noise_input
 from .langevin import diffusion_matrix
 from .observables import (
     amplitude_quadrature_angle,
@@ -58,7 +58,6 @@ __all__ = [
     "LevelScheme",
     "MediumParams",
     "NumericalError",
-    "PolarizationBasis",
     "PolarizationMode",
     "ScenarioError",
     "StationarityError",

@@ -96,9 +96,7 @@ def _cmd_run(args):
     if args.preset:
         sources.extend(_preset_scenarios(args.preset))
     if not sources:
-        print(
-            "run: provide a scenario file and/or --preset", file=sys.stderr
-        )
+        print("run: provide a scenario file and/or --preset", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = Path(
@@ -107,7 +105,7 @@ def _cmd_run(args):
         or DEFAULT_OUTPUT_DIR
     )
 
-    written = []
+    scenarios = []
     for source in sources:
         try:
             scenario = _load(source)
@@ -121,6 +119,22 @@ def _cmd_run(args):
             for e in errors:
                 print(f"error: {scenario.name}: {e}", file=sys.stderr)
             return EXIT_CONFIG
+        scenarios.append(scenario)
+
+    owners = {}  # table label -> scenario; all checked before any compute
+    for scenario in scenarios:
+        for label, _, _ in scenario.points():
+            owner = owners.setdefault(label, scenario)
+            if owner is not scenario:
+                print(
+                    f"error: table label {label!r} belongs to scenarios "
+                    f"{owner.name!r} and {scenario.name!r}",
+                    file=sys.stderr,
+                )
+                return EXIT_CONFIG
+
+    written = []
+    for scenario in scenarios:
         try:
             written.extend(run_scenario(scenario, out_dir))
         except PHYSICS_ERRORS as exc:

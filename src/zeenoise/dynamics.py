@@ -14,8 +14,8 @@ Two representations of the same dynamics are built independently:
 - `generator` G: d vec(rho)/dt = G vec(rho), assembled from Kronecker
   products (column-major vec, see conventions module);
 - `drift` M: d<sigma>/dt = M <sigma> for the expectation vector
-  s[a + n*b] = <sigma_ab>, assembled row by row from the adjoint
-  (Heisenberg) action on each basis operator.
+  s[a + n*b] = <sigma_ab>, assembled in one broadcast from the adjoint
+  (Heisenberg) action on every basis operator.
 
 Their mutual consistency under the trace pairing is a tested invariant,
 not an assumption.
@@ -24,12 +24,11 @@ not an assumption.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .angular import dipole_component
 from .conventions import unvec, vec
 from .errors import ArgumentError, DegenerateSteadyStateError, NumericalError
-from .field import PolarizationBasis
+from .field import PolarizationMode
 
 _NULL_SPACE_CUTOFF = 1e-9
 
@@ -45,7 +44,7 @@ class DriveConfig:
     not exist and steady_state raises.
     """
 
-    basis: PolarizationBasis
+    basis: PolarizationMode
     rabi: float
     detuning: float = 0.0
 
@@ -67,7 +66,7 @@ class Liouvillian:
 
 
 def hamiltonian(scheme, drive):
-    d1 = drive.basis.driven_operator(scheme)
+    d1 = drive.basis.operator(scheme, 1)
     h = -drive.detuning * scheme.excited_projector().astype(complex)
     h -= 0.5 * drive.rabi * (d1 + d1.conj().T)
     return h
@@ -80,8 +79,8 @@ def _adjoint_rows(x, y):
 
 def build_generator(scheme, drive):
     """Assemble the Liouvillian (G and M) for a scheme and drive."""
-    if not isinstance(drive.basis, PolarizationBasis):
-        raise ArgumentError("drive.basis must be a PolarizationBasis")
+    if not isinstance(drive.basis, PolarizationMode):
+        raise ArgumentError("drive.basis must be a PolarizationMode")
     n = scheme.n
     h = hamiltonian(scheme, drive)
     eye = np.eye(n)
@@ -121,7 +120,7 @@ def steady_state(liouvillian):
     """
     g = liouvillian.generator
     n = liouvillian.n
-    svals = scipy.linalg.svdvals(g)
+    svals = np.linalg.svd(g, compute_uv=False)
     scale = svals[0] if svals[0] > 0 else 1.0
     null_dim = int(np.sum(svals < _NULL_SPACE_CUTOFF * scale))
     if null_dim != 1:

@@ -21,12 +21,6 @@ from .errors import ArgumentError
 
 
 class PolarizationMode(enum.Enum):
-    CIRCULAR = "circular"
-    LINEAR = "linear"
-
-
-@dataclass(frozen=True)
-class PolarizationBasis:
     """Driven (e1) and orthogonal (e2) polarization components.
 
     CIRCULAR: drive on the sigma+ component (quantization axis along the
@@ -38,27 +32,22 @@ class PolarizationBasis:
     undriven component (see CONVENTIONS.md) and is flagged in run metadata.
     """
 
-    mode: PolarizationMode
-
-    def driven_operator(self, scheme):
-        if self.mode is PolarizationMode.CIRCULAR:
-            return dipole_component(scheme, +1).astype(complex)
-        return dipole_component(scheme, 0).astype(complex)
-
-    def orthogonal_operator(self, scheme):
-        if self.mode is PolarizationMode.CIRCULAR:
-            return dipole_component(scheme, -1).astype(complex)
-        return (
-            1j
-            / np.sqrt(2.0)
-            * (dipole_component(scheme, -1) - dipole_component(scheme, +1))
-        )
+    CIRCULAR = "circular"
+    LINEAR = "linear"
 
     def operator(self, scheme, component):
+        """Dipole-lowering operator of component 1 (driven) or 2 (orthogonal)."""
+        circular = self is PolarizationMode.CIRCULAR
         if component == 1:
-            return self.driven_operator(scheme)
+            return dipole_component(scheme, +1 if circular else 0).astype(complex)
         if component == 2:
-            return self.orthogonal_operator(scheme)
+            if circular:
+                return dipole_component(scheme, -1).astype(complex)
+            return (
+                1j
+                / np.sqrt(2.0)
+                * (dipole_component(scheme, -1) - dipole_component(scheme, +1))
+            )
         raise ArgumentError(f"polarization component must be 1 or 2, got {component}")
 
 
@@ -97,13 +86,9 @@ class SpectralMatrix:
         )
 
 
-def coherent_input_matrix():
-    """Shot-noise-normalized coherent-state input: [[1,0],[0,0]]."""
-    return SpectralMatrix(1.0 + 0j, 0j, 0j, 0j)
-
-
 def excess_noise_input(eps_a, eps_p):
-    """Coherent matrix plus white quadrature excess (eps_a, eps_p >= 0)."""
+    """Coherent matrix [[1,0],[0,0]] plus white quadrature excess (eps_a,
+    eps_p >= 0); excess_noise_input(0, 0) is the coherent-state input."""
     for key, value in (("eps_a", eps_a), ("eps_p", eps_p)):
         if value < 0:
             raise ArgumentError(f"{key} must be >= 0, got {value}")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .conventions import operator_projection
 from .errors import ArgumentError, NumericalError
-from .field import SpectralMatrix, coherent_input_matrix
+from .field import SpectralMatrix, excess_noise_input
 
 _POLARIZATION_COMPONENTS = (1, 2)
 
@@ -138,7 +138,7 @@ def propagate(input_matrix, medium, liouvillian, two_d, rho, grid):
         c: SpectralMatrix(*(at[c][k] for k in range(4)), grid=grid)
         for c in _POLARIZATION_COMPONENTS
     }
-    inputs = {1: input_matrix, 2: coherent_input_matrix()}
+    inputs = {1: input_matrix, 2: excess_noise_input(0.0, 0.0)}
     spectra = {c: inputs[c] + atomic[c] for c in _POLARIZATION_COMPONENTS}
 
     carrier = {}

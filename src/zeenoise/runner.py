@@ -14,7 +14,7 @@ alone. The pipeline is deterministic: no randomness anywhere, and one loop
 over the grid computes every frequency point, so reruns are bit-identical.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import json
@@ -38,16 +38,8 @@ OUTPUT_DIR_ENV = "ZEENOISE_OUT"
 DEFAULT_OUTPUT_DIR = "zeenoise-out"
 
 
-@dataclass
-class PointResult:
-    """Computed table for one scenario point (one sweep value)."""
-
-    columns: dict      # column name -> float array, or None (empty fields)
-    metadata: dict
-
-
 def compute_point(scenario):
-    """Run the full pipeline for one (effective) scenario."""
+    """(columns, metadata) of one effective scenario; a None column is empty."""
     (scheme, drive, medium, input_matrix), errors = point_inputs(scenario)
     if errors:
         raise ArgumentError("; ".join(errors))
@@ -103,21 +95,20 @@ def compute_point(scenario):
         "phi_e2": out.phi[2],
         "columns": list(columns),
     }
-    return PointResult(columns=columns, metadata=metadata)
+    return columns, metadata
 
 
 def _format(value):
     return f"{value:.17g}"
 
 
-def write_point(result, out_dir, label):
+def write_point(columns, metadata, out_dir, label):
     """Write `<label>.csv` and `<label>.json`; returns the two paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{label}.csv"
     json_path = out_dir / f"{label}.json"
 
-    columns = result.columns
     lines = [", ".join(columns)]
     for i in range(len(columns["omega_over_gamma"])):
         lines.append(",".join(
@@ -126,7 +117,7 @@ def write_point(result, out_dir, label):
     csv_path.write_text("\n".join(lines) + "\n")
 
     json_path.write_text(
-        json.dumps(result.metadata, indent=2, sort_keys=True) + "\n"
+        json.dumps(metadata, indent=2, sort_keys=True) + "\n"
     )
     return [csv_path, json_path]
 
@@ -136,12 +127,12 @@ def run_scenario(scenario, out_dir):
     written = []
     for label, value, point in scenario.points():
         try:
-            result = compute_point(point)
+            columns, metadata = compute_point(point)
         except PHYSICS_ERRORS as exc:
             exc.args = (f"scenario point '{label}': {exc}",)
             raise
-        result.metadata["label"] = label
-        result.metadata["sweep_parameter"] = getattr(scenario.sweep, "parameter", None)
-        result.metadata["sweep_value"] = value
-        written.extend(write_point(result, out_dir, label))
+        metadata["label"] = label
+        metadata["sweep_parameter"] = getattr(scenario.sweep, "parameter", None)
+        metadata["sweep_value"] = value
+        written.extend(write_point(columns, metadata, out_dir, label))
     return written

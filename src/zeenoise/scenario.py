@@ -29,7 +29,7 @@ import numpy as np
 from .angular import LevelScheme
 from .dynamics import DriveConfig
 from .errors import ArgumentError, ScenarioError
-from .field import PolarizationBasis, PolarizationMode, excess_noise_input
+from .field import PolarizationMode, excess_noise_input
 from .propagation import MediumParams
 
 _POLARIZATIONS = tuple(mode.value for mode in PolarizationMode)
@@ -327,11 +327,11 @@ def point_inputs(point):
     A constructor that raises ArgumentError leaves None in its place and
     adds its message, prefixed with where the values come from, to errors.
     """
-    basis = PolarizationBasis(PolarizationMode(point.polarization))
+    mode = PolarizationMode(point.polarization)
     inputs, errors = [], []
     for prefix, construct, args in (
         ("transition: ", LevelScheme, (point.fg, point.fe, point.gamma)),
-        ("drive.", DriveConfig, (basis, point.rabi, point.detuning)),
+        ("drive.", DriveConfig, (mode, point.rabi, point.detuning)),
         ("medium.", MediumParams, (point.b0,)),
         ("input.", excess_noise_input, (point.eps_a, point.eps_p)),
     ):
@@ -355,8 +355,7 @@ def _check_ranges(point, scheme, warnings):
     if scheme is None:
         return
     # Ground sublevels the drive leaves uncoupled (dark to it).
-    basis = PolarizationBasis(PolarizationMode(point.polarization))
-    rows = basis.driven_operator(scheme)[: scheme.n_ground]
+    rows = PolarizationMode(point.polarization).operator(scheme, 1)[: scheme.n_ground]
     dark = int(np.sum(~rows.any(axis=1)))
     if dark:
         warnings.append(

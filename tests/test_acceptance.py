@@ -16,7 +16,6 @@ from zeenoise import (
     DriveConfig,
     LevelScheme,
     MediumParams,
-    PolarizationBasis,
     PolarizationMode,
     amplitude_quadrature_angle,
     build_generator,
@@ -29,7 +28,6 @@ from zeenoise import (
 )
 from zeenoise.analysis import peak_census, zero_peak_half_width
 from zeenoise.angular import dipole_component
-from zeenoise.field import coherent_input_matrix
 from zeenoise.oracles import mollow_spectrum, qrt_spectrum
 from zeenoise.cli import main
 
@@ -39,7 +37,7 @@ KAPPA2 = 0.25 * B0 * SCHEME.gamma
 
 
 def run_pipeline(pol, rabi, det, b0, grid, eps_a=0.0, eps_p=0.0):
-    basis = PolarizationBasis(PolarizationMode(pol))
+    basis = PolarizationMode(pol)
     drive = DriveConfig(basis=basis, rabi=rabi, detuning=det)
     liou = build_generator(SCHEME, drive)
     steady = steady_state(liou)
@@ -236,7 +234,7 @@ def test_invariant_suite():
     for pol in ("circular", "linear"):
         for det in (0.0, 1.0):
             for rabi in (0.1, 1.0, 5.0):
-                basis = PolarizationBasis(PolarizationMode(pol))
+                basis = PolarizationMode(pol)
                 liou = build_generator(
                     SCHEME, DriveConfig(basis=basis, rabi=rabi, detuning=det)
                 )
@@ -246,7 +244,7 @@ def test_invariant_suite():
                 assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     # circular drive confines the atom to the stretched pair
-    basis = PolarizationBasis(PolarizationMode("circular"))
+    basis = PolarizationMode("circular")
     liou = build_generator(SCHEME, DriveConfig(basis=basis, rabi=1.0))
     rho = steady_state(liou)
     pair = (

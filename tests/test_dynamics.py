@@ -10,7 +10,6 @@ from zeenoise import (
     DegenerateSteadyStateError,
     DriveConfig,
     LevelScheme,
-    PolarizationBasis,
     PolarizationMode,
     build_generator,
     steady_state,
@@ -21,8 +20,8 @@ from zeenoise.dynamics import hamiltonian
 from zeenoise.oracles import two_level_reference
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
-CIRC = PolarizationBasis(PolarizationMode.CIRCULAR)
-LIN = PolarizationBasis(PolarizationMode.LINEAR)
+CIRC = PolarizationMode.CIRCULAR
+LIN = PolarizationMode.LINEAR
 
 
 def make(mode, rabi, detuning=0.0):
@@ -199,6 +198,35 @@ class TestSteadyState:
         assert err.value.dimension == 9
         assert "9" in str(err.value)
 
+
+
+def _svdvals_null_dimension(g):
+    """Null-space dimension as scipy.linalg.svdvals counts it at 1e-9."""
+    svals = scipy.linalg.svdvals(g)
+    scale = svals[0] if svals[0] > 0 else 1.0
+    return int(np.sum(svals < 1e-9 * scale))
+
+
+@pytest.mark.parametrize("gamma", [0.37, 1.0])
+@pytest.mark.parametrize("rabi", [0.0, 1e-6, 1e-4, 1e-2, 1.0])
+@pytest.mark.parametrize("mode", list(PolarizationMode), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "fg, fe", [(1, 2), (2, 2), (2, 1), (1, 1), (0.5, 1.5)], ids=str
+)
+def test_uniqueness_decision_matches_scipy_svdvals(fg, fe, mode, rabi, gamma):
+    """steady_state decides uniqueness as a scipy singular-value count does,
+    down to the weak drives where the Raman terms live."""
+    scheme = LevelScheme(fg=fg, fe=fe, gamma=gamma)
+    liou = build_generator(scheme, DriveConfig(basis=mode, rabi=rabi))
+    expected = _svdvals_null_dimension(liou.generator)
+    if expected == 1:
+        rho = steady_state(liou)
+        assert rho.shape == (scheme.n, scheme.n)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    else:
+        with pytest.raises(DegenerateSteadyStateError) as err:
+            steady_state(liou)
+        assert err.value.dimension == expected
 
 def evolve(liouvillian, rho0, t):
     """rho(t) = exp(G t) applied to rho0."""

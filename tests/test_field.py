@@ -6,24 +6,23 @@ import pytest
 from zeenoise import (
     ArgumentError,
     LevelScheme,
-    PolarizationBasis,
     PolarizationMode,
     excess_noise_input,
 )
 from zeenoise.angular import dipole_component
-from zeenoise.field import SpectralMatrix, coherent_input_matrix
+from zeenoise.field import SpectralMatrix
 
 SCHEME = LevelScheme(fg=1, fe=2)
 
 
 def test_coherent_input_is_shot_noise_only():
-    m = coherent_input_matrix()
+    m = excess_noise_input(0.0, 0.0)
     assert m.s11 == 1.0
     assert m.s12 == m.s21 == m.s22 == 0.0
 
 
 def test_coherent_quadratures_are_flat():
-    m = coherent_input_matrix()
+    m = excess_noise_input(0.0, 0.0)
     for theta in np.linspace(0, np.pi, 7):
         assert m.quadrature_combination(theta) == pytest.approx(1.0)
 
@@ -70,7 +69,7 @@ def test_spectral_matrix_addition_broadcasts_over_grid():
     arrays = SpectralMatrix(
         np.ones(3), np.zeros(3), np.zeros(3), 0.5 * np.ones(3), grid=grid
     )
-    total = coherent_input_matrix() + arrays
+    total = excess_noise_input(0.0, 0.0) + arrays
     assert np.allclose(total.s11, 2.0)
     assert np.allclose(total.s22, 0.5)
     assert total.grid is grid
@@ -78,42 +77,30 @@ def test_spectral_matrix_addition_broadcasts_over_grid():
 
 class TestPolarizationGeometry:
     def test_circular_components(self):
-        basis = PolarizationBasis(PolarizationMode.CIRCULAR)
-        assert np.array_equal(
-            basis.driven_operator(SCHEME), dipole_component(SCHEME, +1)
-        )
-        assert np.array_equal(
-            basis.orthogonal_operator(SCHEME), dipole_component(SCHEME, -1)
-        )
+        mode = PolarizationMode.CIRCULAR
+        assert np.array_equal(mode.operator(SCHEME, 1), dipole_component(SCHEME, +1))
+        assert np.array_equal(mode.operator(SCHEME, 2), dipole_component(SCHEME, -1))
 
     def test_linear_components(self):
-        basis = PolarizationBasis(PolarizationMode.LINEAR)
-        assert np.array_equal(
-            basis.driven_operator(SCHEME), dipole_component(SCHEME, 0)
-        )
+        mode = PolarizationMode.LINEAR
+        assert np.array_equal(mode.operator(SCHEME, 1), dipole_component(SCHEME, 0))
         expected = (
             1j
             / np.sqrt(2)
             * (dipole_component(SCHEME, -1) - dipole_component(SCHEME, +1))
         )
-        assert np.allclose(basis.orthogonal_operator(SCHEME), expected)
+        assert np.allclose(mode.operator(SCHEME, 2), expected)
 
     def test_component_dispatch(self):
-        basis = PolarizationBasis(PolarizationMode.LINEAR)
-        assert np.array_equal(
-            basis.operator(SCHEME, 1), basis.driven_operator(SCHEME)
-        )
-        assert np.array_equal(
-            basis.operator(SCHEME, 2), basis.orthogonal_operator(SCHEME)
-        )
-        with pytest.raises(ArgumentError):
-            basis.operator(SCHEME, 3)
+        for mode in PolarizationMode:
+            for component in (0, 3):
+                with pytest.raises(ArgumentError):
+                    mode.operator(SCHEME, component)
 
     def test_orthogonal_mode_normalization(self):
         """Both mode operators carry the same total coupling weight."""
         for mode in PolarizationMode:
-            basis = PolarizationBasis(mode)
-            d2 = basis.orthogonal_operator(SCHEME)
+            d2 = mode.operator(SCHEME, 2)
             w = np.trace(d2.conj().T @ d2).real
             d2c = dipole_component(SCHEME, -1)
             assert w == pytest.approx(np.trace(d2c.T @ d2c), rel=1e-12)

@@ -6,7 +6,6 @@ import pytest
 from zeenoise import (
     DriveConfig,
     LevelScheme,
-    PolarizationBasis,
     PolarizationMode,
     StationarityError,
     build_generator,
@@ -19,7 +18,7 @@ SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 
 def setup_system(mode, rabi, detuning=0.0, gamma=1.0):
     scheme = LevelScheme(fg=1, fe=2, gamma=gamma)
-    basis = PolarizationBasis(PolarizationMode(mode))
+    basis = PolarizationMode(mode)
     liou = build_generator(
         scheme, DriveConfig(basis=basis, rabi=rabi, detuning=detuning)
     )
@@ -47,7 +46,7 @@ def test_hermiticity_pairing():
 def test_no_dissipation_no_diffusion():
     """With gamma = 0 there are no Langevin forces at all."""
     scheme = LevelScheme(fg=1, fe=2, gamma=0.0)
-    basis = PolarizationBasis(PolarizationMode.LINEAR)
+    basis = PolarizationMode.LINEAR
     liou = build_generator(scheme, DriveConfig(basis=basis, rabi=0.0))
     rho = np.eye(scheme.n, dtype=complex) / scheme.n  # stationary: [H, I] = 0
     two_d = diffusion_matrix(liou, rho)

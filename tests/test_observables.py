@@ -8,11 +8,12 @@ from zeenoise import (
     InternalConsistencyError,
     ZeroCarrierError,
     amplitude_quadrature_angle,
+    excess_noise_input,
     optical_spectrum,
     quadrature_noise,
 )
 from zeenoise.analysis import peak_census, zero_peak_half_width
-from zeenoise.field import SpectralMatrix, coherent_input_matrix
+from zeenoise.field import SpectralMatrix
 from zeenoise.observables import SpectrumTrace
 
 
@@ -105,7 +106,7 @@ class TestQuadratureNoise:
             quadrature_noise(sm, 0.0)
 
     def test_coherent_is_shot_noise_at_every_angle(self):
-        sm = coherent_input_matrix()
+        sm = excess_noise_input(0.0, 0.0)
         for theta in (0.0, 0.7, np.pi / 2):
             assert quadrature_noise(sm, theta).values == pytest.approx(1.0)
 

@@ -7,7 +7,6 @@ from zeenoise import (
     ArgumentError,
     DriveConfig,
     LevelScheme,
-    PolarizationBasis,
     PolarizationMode,
     build_generator,
     steady_state,
@@ -15,7 +14,7 @@ from zeenoise import (
 from zeenoise.oracles import mollow_spectrum, qrt_spectrum, two_level_reference
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
-CIRC = PolarizationBasis(PolarizationMode.CIRCULAR)
+CIRC = PolarizationMode.CIRCULAR
 
 
 class TestMollowSpectrum:
@@ -75,7 +74,7 @@ class TestQrtSpectrum:
         assert np.abs(out).max() < 1e-12
 
     def test_hermitian_pair_is_nonnegative_spectrum(self):
-        op = CIRC.driven_operator(SCHEME)
+        op = CIRC.operator(SCHEME, 1)
         w = np.linspace(-8, 8, 32)  # even count keeps Omega = 0 off the grid
         two_sided = 2 * qrt_spectrum(
             self.liou, self.steady, op.conj().T, op, w
@@ -85,7 +84,7 @@ class TestQrtSpectrum:
     def test_zero_frequency_is_rejected(self):
         from zeenoise import NumericalError
 
-        op = CIRC.driven_operator(SCHEME)
+        op = CIRC.operator(SCHEME, 1)
         with pytest.raises(NumericalError):
             qrt_spectrum(
                 self.liou, self.steady, op.conj().T, op, np.array([0.0])
@@ -99,14 +98,14 @@ class TestQrtSpectrum:
                 SCHEME, DriveConfig(basis=CIRC, rabi=rabi, detuning=det)
             )
             steady = steady_state(liou)
-            op = CIRC.driven_operator(SCHEME)
+            op = CIRC.operator(SCHEME, 1)
             w = np.array([0.1, 0.9, 2.3, 5.0])
             ours = 2 * qrt_spectrum(liou, steady, op.conj().T, op, w).real
             ref = mollow_spectrum(w, rabi, det)
             assert np.allclose(ours, ref, rtol=1e-9, atol=1e-13)
 
     def test_decays_at_large_frequency(self):
-        op = CIRC.driven_operator(SCHEME)
+        op = CIRC.operator(SCHEME, 1)
         far = qrt_spectrum(
             self.liou, self.steady, op.conj().T, op, np.array([1e5])
         )

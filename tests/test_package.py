@@ -35,7 +35,7 @@ def test_public_names_are_the_documented_ones():
     }
     documented = _library_use_imports() | error_classes | {"CONVENTIONS_VERSION"}
     assert sorted(zeenoise.__all__) == sorted(documented)
-    assert len(zeenoise.__all__) == 25
+    assert len(zeenoise.__all__) == 24
     for name in zeenoise.__all__:
         assert hasattr(zeenoise, name)
 
@@ -43,7 +43,8 @@ def test_public_names_are_the_documented_ones():
 def test_cli_import_leaves_peak_analysis_unloaded():
     code = (
         "import sys, zeenoise.cli; "
-        "sys.exit('scipy.signal' in sys.modules or 'zeenoise.analysis' in sys.modules)"
+        "sys.exit(sorted(m for m in sys.modules if m == 'scipy' "
+        "or m.startswith('scipy.') or m == 'zeenoise.analysis') or 0)"
     )
     src = str(Path(zeenoise.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

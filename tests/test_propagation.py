@@ -9,7 +9,6 @@ from zeenoise import (
     DriveConfig,
     LevelScheme,
     MediumParams,
-    PolarizationBasis,
     PolarizationMode,
     amplitude_quadrature_angle,
     build_generator,
@@ -19,7 +18,6 @@ from zeenoise import (
     steady_state,
 )
 from zeenoise.conventions import operator_projection
-from zeenoise.field import coherent_input_matrix
 from zeenoise.oracles import two_level_reference
 from zeenoise.propagation import atomic_response
 from zeenoise.runner import compute_point
@@ -30,7 +28,7 @@ GRID = np.array([1e-3, 0.1, 0.7, 3.0, 12.0])
 
 def system(mode, rabi, detuning=0.0, gamma=1.0):
     scheme = LevelScheme(fg=1, fe=2, gamma=gamma)
-    basis = PolarizationBasis(PolarizationMode(mode))
+    basis = PolarizationMode(mode)
     drive = DriveConfig(basis=basis, rabi=rabi, detuning=detuning)
     liou = build_generator(scheme, drive)
     steady = steady_state(liou)
@@ -41,7 +39,7 @@ def system(mode, rabi, detuning=0.0, gamma=1.0):
 def run(mode, rabi, detuning=0.0, b0=0.1, input_matrix=None, grid=GRID, **kw):
     scheme, liou, steady, diff = system(mode, rabi, detuning)
     if input_matrix is None:
-        input_matrix = coherent_input_matrix()
+        input_matrix = excess_noise_input(0.0, 0.0)
     out = propagate(
         input_matrix, MediumParams(b0), liou, diff, steady, grid, **kw
     )
@@ -51,7 +49,7 @@ def run(mode, rabi, detuning=0.0, b0=0.1, input_matrix=None, grid=GRID, **kw):
 def phi(liou, diff, steady, b0):
     """Dephasing angle of the driven component after the medium."""
     out = propagate(
-        coherent_input_matrix(), MediumParams(b0), liou, diff, steady, [1.0]
+        excess_noise_input(0.0, 0.0), MediumParams(b0), liou, diff, steady, [1.0]
     )
     return out.phi[1]
 
@@ -66,7 +64,7 @@ def test_empty_grid_rejected():
     scheme, liou, steady, diff = system("linear", 1.0)
     with pytest.raises(ArgumentError):
         propagate(
-            coherent_input_matrix(),
+            excess_noise_input(0.0, 0.0),
             MediumParams(0.1),
             liou,
             diff,
@@ -294,7 +292,7 @@ class TestCarrier:
         undriven = build_generator(
             scheme,
             DriveConfig(
-                basis=PolarizationBasis(PolarizationMode.CIRCULAR), rabi=0.0
+                basis=PolarizationMode.CIRCULAR, rabi=0.0
             ),
         )
         with pytest.raises(ArgumentError):
@@ -307,7 +305,7 @@ def test_dilation_invariance_end_to_end():
     base = run("linear", 0.8, 0.3, b0=0.2)
     scheme, liou, steady, diff = system("linear", s * 0.8, s * 0.3, gamma=s)
     scaled = propagate(
-        coherent_input_matrix(),
+        excess_noise_input(0.0, 0.0),
         MediumParams(0.2),
         liou,
         diff,
@@ -327,7 +325,7 @@ def test_dilation_invariance_end_to_end():
 class TestAtomicResponse:
     def test_no_diffusion_no_fluctuations(self):
         scheme = LevelScheme(fg=1, fe=2, gamma=0.0)
-        basis = PolarizationBasis(PolarizationMode.LINEAR)
+        basis = PolarizationMode.LINEAR
         liou = build_generator(scheme, DriveConfig(basis=basis, rabi=0.0))
         rho = np.eye(8, dtype=complex) / 8
         diff = diffusion_matrix(liou, rho)

@@ -13,7 +13,6 @@ from zeenoise import (
     ArgumentError,
     DriveConfig,
     MediumParams,
-    PolarizationBasis,
     PolarizationMode,
     ScenarioError,
     excess_noise_input,
@@ -345,7 +344,7 @@ class TestValidation:
             "medium.b0 must be >= 0, got -0.1",
             "input.eps_p must be >= 0, got -2.0",
         ]
-        basis = PolarizationBasis(PolarizationMode.LINEAR)
+        basis = PolarizationMode.LINEAR
         with pytest.raises(ArgumentError, match=r"^rabi must be >= 0, got -0\.5$"):
             DriveConfig(basis, -0.5)
         with pytest.raises(ArgumentError, match=r"^b0 must be >= 0, got -0\.1$"):
@@ -710,6 +709,30 @@ class TestCli:
         assert main(["run", str(scn), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == [scn.name]
+
+    @pytest.mark.parametrize("name, values, owners", [
+        ("fig3_tls", "values = 0.1", "'fig3_tls' and 'fig3_tls'"),
+        ("fig3_tls_rabi_0.1", None, "'fig3_tls_rabi_0.1' and 'fig3_tls'"),
+    ], ids=["same_name", "unswept_name"])
+    def test_label_shared_across_scenarios_exits_2_without_output(
+        self, tmp_path, capsys, monkeypatch, name, values, owners
+    ):
+        """A scenario file and a preset of one run may not write one table."""
+        def no_build(*args):
+            raise AssertionError("build_generator was called")
+
+        monkeypatch.setattr(runner, "build_generator", no_build)
+        text = GOOD.replace("name = demo", f"name = {name}")
+        if values is None:
+            text = text.split("[sweep]")[0]
+        else:
+            text = text.replace("values = 0.5, 1.0", values)
+        scn = write(tmp_path, text, name="c.ini")
+        out = tmp_path / "oc"
+        assert main(["run", str(scn), "--preset", "fig3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"table label 'fig3_tls_rabi_0.1' belongs to scenarios {owners}" in err
+        assert not out.exists()
 
 
 class TestPresets:
