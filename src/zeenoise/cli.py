@@ -7,6 +7,9 @@
 `run` also accepts `--threads N` so that older scripts keep working; it
 has no effect.
 
+`validate` makes the checks `run` makes before computing, with the same
+stderr messages, then prints `<name>: ok (<k> warning(s))` on stdout.
+
 Exit codes: 0 success; 2 configuration problem (parse error or failed
 validation, with file/section/key context); 3 physics failure (any of
 errors.PHYSICS_ERRORS, naming the scenario point); 4 I/O failure.
@@ -18,24 +21,22 @@ import argparse
 import os
 import sys
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 
 from .errors import PHYSICS_ERRORS, ScenarioError
 from .runner import DEFAULT_OUTPUT_DIR, OUTPUT_DIR_ENV, run_scenario
 from .scenario import load_scenario, validate_scenario
 
+_PRESETS = resources.files("zeenoise").joinpath("presets")
+
+# Every presets/*.ini stem, grouped by the prefix before its first "_".
 PRESET_GROUPS = {
-    "fig2": ("fig2_tls", "fig2_mls"),
-    "fig3": ("fig3_tls", "fig3_mls"),
-    "fig4": ("fig4_tls", "fig4_mls"),
-    "fig5": (
-        "fig5_tls_ep0",
-        "fig5_tls_ep10",
-        "fig5_tls_ep100",
-        "fig5_mls_ep0",
-        "fig5_mls_ep10",
-        "fig5_mls_ep100",
-    ),
+    group: tuple(names)
+    for group, names in groupby(
+        sorted(p.name[:-4] for p in _PRESETS.iterdir() if p.name.endswith(".ini")),
+        key=lambda name: name.split("_")[0],
+    )
 }
 
 EXIT_OK = 0
@@ -78,51 +79,27 @@ def build_parser():
     return parser
 
 
-def _preset_scenarios(group):
-    base = resources.files("zeenoise").joinpath("presets")
-    return [base.joinpath(f"{name}.ini") for name in PRESET_GROUPS[group]]
+def _checked(sources):
+    """Load and validate every source, reporting on stderr.
 
-
-def _load(source):
-    """Load a scenario from a path or an importlib Traversable."""
-    with resources.as_file(source) as path:
-        return load_scenario(path)
-
-
-def _cmd_run(args):
-    sources = []
-    if args.scenario:
-        sources.append(Path(args.scenario))
-    if args.preset:
-        sources.extend(_preset_scenarios(args.preset))
-    if not sources:
-        print("run: provide a scenario file and/or --preset", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = Path(
-        args.out
-        or os.environ.get(OUTPUT_DIR_ENV)
-        or DEFAULT_OUTPUT_DIR
-    )
-
-    scenarios = []
+    Returns [(scenario, warnings)], or None once a source fails to load or
+    validate, or a table label belongs to two scenarios. Nothing has been
+    computed or written by then.
+    """
+    checked, owners = [], {}  # owners: table label -> scenario
     for source in sources:
         try:
-            scenario = _load(source)
+            with resources.as_file(source) as path:
+                scenario = load_scenario(path)
         except ScenarioError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return None
         warnings, errors = validate_scenario(scenario)
-        for w in warnings:
-            print(f"warning: {scenario.name}: {w}", file=sys.stderr)
+        for kind, messages in (("warning", warnings), ("error", errors)):
+            for message in messages:
+                print(f"{kind}: {scenario.name}: {message}", file=sys.stderr)
         if errors:
-            for e in errors:
-                print(f"error: {scenario.name}: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        scenarios.append(scenario)
-
-    owners = {}  # table label -> scenario; all checked before any compute
-    for scenario in scenarios:
+            return None
         for label, _, _ in scenario.points():
             owner = owners.setdefault(label, scenario)
             if owner is not scenario:
@@ -131,10 +108,29 @@ def _cmd_run(args):
                     f"{owner.name!r} and {scenario.name!r}",
                     file=sys.stderr,
                 )
-                return EXIT_CONFIG
+                return None
+        checked.append((scenario, warnings))
+    return checked
 
+
+def _cmd_run(args):
+    sources = [Path(args.scenario)] if args.scenario else []
+    if args.preset:
+        sources += [_PRESETS.joinpath(f"{n}.ini") for n in PRESET_GROUPS[args.preset]]
+    if not sources:
+        print("run: provide a scenario file and/or --preset", file=sys.stderr)
+        return EXIT_CONFIG
+    checked = _checked(sources)
+    if checked is None:
+        return EXIT_CONFIG
+
+    out_dir = Path(
+        args.out
+        or os.environ.get(OUTPUT_DIR_ENV)
+        or DEFAULT_OUTPUT_DIR
+    )
     written = []
-    for scenario in scenarios:
+    for scenario, _ in checked:
         try:
             written.extend(run_scenario(scenario, out_dir))
         except PHYSICS_ERRORS as exc:
@@ -149,18 +145,10 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    checked = _checked([Path(args.scenario)])
+    if checked is None:
         return EXIT_CONFIG
-    warnings, errors = validate_scenario(scenario)
-    for w in warnings:
-        print(f"warning: {w}")
-    for e in errors:
-        print(f"error: {e}")
-    if errors:
-        return EXIT_CONFIG
+    [(scenario, warnings)] = checked
     print(f"{scenario.name}: ok ({len(warnings)} warning(s))")
     return EXIT_OK
 

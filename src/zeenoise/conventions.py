@@ -20,7 +20,7 @@ QUADRATURE_CONVENTIONS = {
 
 
 def vec(mat):
-    """Column-major stacking: vec(rho)[a + n*b] = rho[a, b]."""
+    """Column-major stacking, vec(m)[a + n*b] = m[a, b]; vec(op) @ s = <op>."""
     return np.asarray(mat).flatten(order="F")
 
 
@@ -35,8 +35,3 @@ def unvec(v):
 def expectation_vector(rho):
     """s[a + n*b] = <sigma_ab> = Tr(|a><b| . rho) = rho[b, a]."""
     return np.asarray(rho).T.flatten(order="F")
-
-
-def operator_projection(op):
-    """Row vector p with p @ s = <op> for s = expectation_vector(rho)."""
-    return np.asarray(op).flatten(order="F")

@@ -7,8 +7,7 @@ correlation matrix in the (a, a+) operator ordering,
                    [<da+(t)da+(0)>, <da+(t)da(0)>]],
 
 normalized so a coherent state gives S11 = 1 (shot noise) and all other
-entries 0. Quadrature noise at angle theta is the combination
-S11 + S12 e^{-2i theta} + S21 e^{+2i theta} + S22.
+entries 0. `observables.quadrature_noise` reads quadrature spectra off it.
 """
 
 import enum
@@ -64,16 +63,6 @@ class SpectralMatrix:
     s21: np.ndarray
     s22: np.ndarray
     grid: np.ndarray = field(default=None, repr=False)
-
-    def quadrature_combination(self, theta):
-        """Complex quadrature spectrum at angle theta (realness is the
-        caller's consistency check)."""
-        return (
-            self.s11
-            + self.s22
-            + self.s12 * np.exp(-2j * theta)
-            + self.s21 * np.exp(+2j * theta)
-        )
 
     def __add__(self, other):
         grid = self.grid if self.grid is not None else other.grid

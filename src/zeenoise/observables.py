@@ -61,15 +61,20 @@ def optical_spectrum(spectral_matrix):
 
 def quadrature_noise(spectral_matrix, theta):
     """Homodyne noise spectrum at quadrature angle theta (shot noise = 1)."""
-    combo = spectral_matrix.quadrature_combination(theta)
-    combo = np.asarray(combo, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(combo.real))) if combo.size else 1.0)
-    if combo.size and float(np.max(np.abs(combo.imag))) > _IMAG_TOL * scale:
-        raise InternalConsistencyError(
-            "quadrature spectrum has a non-negligible imaginary part "
-            f"(max |Im| = {float(np.max(np.abs(combo.imag))):.3e})"
-        )
-    grid = spectral_matrix.grid
+    m = spectral_matrix
+    combo = np.asarray(
+        m.s11 + m.s22 + m.s12 * np.exp(-2j * theta) + m.s21 * np.exp(+2j * theta),
+        dtype=complex,
+    )
+    if combo.size:
+        imag = float(np.max(np.abs(combo.imag)))
+        scale = max(1.0, float(np.max(np.abs(combo.real))))
+        if not imag <= _IMAG_TOL * scale:  # a NaN fails too
+            raise InternalConsistencyError(
+                "quadrature spectrum has a non-negligible imaginary part "
+                f"(max |Im| = {imag:.3e})"
+            )
+    grid = m.grid
     if grid is None:
         grid = np.zeros(np.shape(combo.real))
     return SpectrumTrace(grid=np.asarray(grid, dtype=float), values=combo.real)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import operator_projection
+from .conventions import vec
 from .errors import ArgumentError, NumericalError
 from .field import SpectralMatrix, excess_noise_input
 
@@ -107,8 +107,8 @@ def propagate(input_matrix, medium, liouvillian, two_d, rho, grid):
     k2 = 0.25 * b0 * scheme.gamma
 
     ops = {c: drive.basis.operator(scheme, c) for c in _POLARIZATION_COMPONENTS}
-    proj_low = {c: operator_projection(ops[c]) for c in ops}
-    proj_dag = {c: operator_projection(ops[c].conj().T) for c in ops}
+    proj_low = {c: vec(ops[c]) for c in ops}
+    proj_dag = {c: vec(ops[c].conj().T) for c in ops}
 
     shape = grid.shape
     at = {

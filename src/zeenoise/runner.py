@@ -23,7 +23,7 @@ import numpy as np
 
 from .conventions import CONVENTIONS_VERSION, QUADRATURE_CONVENTIONS
 from .dynamics import build_generator, steady_state
-from .errors import PHYSICS_ERRORS, ArgumentError
+from .errors import PHYSICS_ERRORS, ArgumentError, NumericalError
 from .langevin import diffusion_matrix
 from .observables import (
     amplitude_quadrature_angle,
@@ -80,6 +80,10 @@ def compute_point(scenario):
                 )
             else:
                 columns["mollow_opt_e1"] = None
+
+    for name, column in columns.items():
+        if column is not None and not np.all(np.isfinite(column)):
+            raise NumericalError(f"column {name!r} holds a non-finite value")
 
     metadata = {
         "conventions_version": CONVENTIONS_VERSION,

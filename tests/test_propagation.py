@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import zeenoise.propagation
 from zeenoise import (
@@ -17,7 +19,8 @@ from zeenoise import (
     propagate,
     steady_state,
 )
-from zeenoise.conventions import operator_projection
+from zeenoise.conventions import vec
+from zeenoise.errors import PHYSICS_ERRORS
 from zeenoise.oracles import two_level_reference
 from zeenoise.propagation import atomic_response
 from zeenoise.runner import compute_point
@@ -149,8 +152,8 @@ def test_cross_polarization_correlations_vanish():
     for mode in ("circular", "linear"):
         scheme, liou, steady, diff = system(mode, 1.0, 0.5)
         ops = {c: liou.drive.basis.operator(scheme, c) for c in (1, 2)}
-        lo = {c: operator_projection(ops[c]) for c in ops}
-        dg = {c: operator_projection(ops[c].conj().T) for c in ops}
+        lo = {c: vec(ops[c]) for c in ops}
+        dg = {c: vec(ops[c].conj().T) for c in ops}
         for w in GRID:
             c_plus = atomic_response(liou, diff, w)[1]
             c_minus = atomic_response(liou, diff, -w)[1]
@@ -197,6 +200,43 @@ def test_one_sided_grid_inverts_each_resolvent_once(monkeypatch):
     assert len(resolvent_calls(monkeypatch, grid)) == 2 * grid.build().size
 
 
+_UP_TO_MAX = st.floats(0.0, 1e308)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    polarization=st.sampled_from(["circular", "linear"]),
+    rabi=st.floats(1e-3, 1e3),
+    detuning=st.floats(-1e3, 1e3),
+    b0=_UP_TO_MAX,
+    eps_a=_UP_TO_MAX,
+    eps_p=_UP_TO_MAX,
+    theta=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+)
+@example(polarization="linear", rabi=1.0, detuning=0.0, b0=0.1,
+         eps_a=0.0, eps_p=0.0, theta=1e308)
+@example(polarization="linear", rabi=1.0, detuning=0.0, b0=0.1,
+         eps_a=1e308, eps_p=1e308, theta=None)
+def test_compute_point_is_finite_or_raises_physics_error(
+    polarization, rabi, detuning, b0, eps_a, eps_p, theta
+):
+    """Every column is finite, or the point ends in a documented exit-3 error;
+    theta None is the amplitude quadrature."""
+    scenario = Scenario(
+        name="any", fg=1, fe=2, gamma=1.0, polarization=polarization,
+        rabi=rabi, detuning=detuning, b0=b0, grid=GridSpec(0.01, 10.0, 3),
+        eps_a=eps_a, eps_p=eps_p, oracles=("qrt", "mollow"),
+        quadrature_theta=theta,
+    )
+    try:
+        columns, _ = compute_point(scenario)
+    except PHYSICS_ERRORS:
+        return
+    for name, column in columns.items():
+        assert column is None or np.all(np.isfinite(column)), name
+
+
 @pytest.mark.parametrize("mode", ["circular", "linear"])
 @pytest.mark.parametrize("grid", [
     GridSpec(1e-3, 12.0, 6, "log").build(),
@@ -212,8 +252,8 @@ def test_atomic_term_is_bit_identical_to_per_omega_kernels(mode, grid):
     k2 = 0.25 * b0 * scheme.gamma
     for comp in (1, 2):
         op = liou.drive.basis.operator(scheme, comp)
-        lo = operator_projection(op)
-        dg = operator_projection(op.conj().T)
+        lo = vec(op)
+        dg = vec(op.conj().T)
         expected = [[], [], [], []]
         for w in grid:
             c_plus = atomic_response(liou, diff, w)[1]

@@ -15,13 +15,18 @@ from zeenoise import (
     MediumParams,
     PolarizationMode,
     ScenarioError,
+    build_generator,
+    diffusion_matrix,
     excess_noise_input,
     load_scenario,
+    propagate,
+    quadrature_noise,
+    steady_state,
     validate_scenario,
 )
 from zeenoise import runner
 from zeenoise.cli import PRESET_GROUPS, main
-from zeenoise.scenario import GridSpec
+from zeenoise.scenario import GridSpec, point_inputs
 
 GOOD = """
 [scenario]
@@ -167,6 +172,13 @@ count = 3
         text = GOOD.replace("quadrature = amplitude", "quadrature = 1.5708")
         s = load_scenario(write(tmp_path, text))
         assert s.quadrature_theta == pytest.approx(1.5708)
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("true", True), ("yes", True), ("off", False),
+    ])
+    def test_symmetrize_reads_a_boolean(self, tmp_path, raw, expected):
+        text = GOOD.replace("spacing = log", f"spacing = log\nsymmetrize = {raw}")
+        assert load_scenario(write(tmp_path, text)).grid.symmetrize is expected
 
 
 class TestGridSpec:
@@ -504,6 +516,19 @@ oracles = qrt mollow
 """
 
 
+def assert_rejected(scn, out, capsys):
+    """`validate` and `run` both exit 2 with one stderr and write nothing;
+    returns that stderr."""
+    assert main(["validate", str(scn)]) == 2
+    validated = capsys.readouterr()
+    assert main(["run", str(scn), "--out", str(out)]) == 2
+    ran = capsys.readouterr()
+    assert validated.out == ran.out == ""
+    assert validated.err == ran.err
+    assert not out.exists()
+    return ran.err
+
+
 class TestCli:
     def test_run_writes_tables(self, tmp_path, capsys):
         scn = write(tmp_path, NOSWEEP, name="tls.ini")
@@ -562,14 +587,13 @@ class TestCli:
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = write(tmp_path, "[drive]\nrabi = fast\n", name="bad.ini")
-        assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = assert_rejected(bad, tmp_path / "results", capsys)
+        assert "configuration error" in err
 
     def test_validation_error_exits_2(self, tmp_path, capsys):
         text = NOSWEEP.replace("b0 = 0.1", "b0 = -1")
         scn = write(tmp_path, text, name="neg.ini")
-        assert main(["run", str(scn), "--out", str(tmp_path)]) == 2
-        assert "b0" in capsys.readouterr().err
+        assert "b0" in assert_rejected(scn, tmp_path / "results", capsys)
 
     def test_degenerate_point_exits_3_and_names_point(self, tmp_path, capsys):
         text = NOSWEEP.replace("rabi = 1.0", "rabi = 0")
@@ -594,12 +618,7 @@ class TestCli:
     def test_interpolation_error_exits_2_without_output(self, tmp_path, capsys):
         text = NOSWEEP.replace("b0 = 0.1", "b0 = 10%")
         scn = write(tmp_path, text, name="pct.ini")
-        out = tmp_path / "results"
-        assert main(["validate", str(scn)]) == 2
-        assert "[medium] b0: " in capsys.readouterr().err
-        assert main(["run", str(scn), "--out", str(out)]) == 2
-        assert "[medium] b0: " in capsys.readouterr().err
-        assert not out.exists()
+        assert "[medium] b0: " in assert_rejected(scn, tmp_path / "results", capsys)
 
     def test_io_failure_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -613,13 +632,62 @@ class TestCli:
         assert main(["validate", str(scn)]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_negative_sweep_value_exits_2_without_output(self, tmp_path):
+    def test_validate_and_run_report_the_same_warnings(self, tmp_path, capsys):
+        scn = write(tmp_path, NOSWEEP.replace("b0 = 0.1", "b0 = 0.7"), name="thick.ini")
+        assert main(["validate", str(scn)]) == 0
+        validated = capsys.readouterr()
+        assert validated.out == "thick: ok (1 warning(s))\n"
+        assert validated.err.startswith("warning: thick: medium.b0 = 0.7 exceeds")
+        assert main(["run", str(scn), "--out", str(tmp_path / "results")]) == 0
+        assert capsys.readouterr().err == validated.err
+
+    def test_explicit_quadrature_angle(self, tmp_path):
+        scn = write(tmp_path, NOSWEEP + "quadrature = 0.3\n", name="angle.ini")
+        out = tmp_path / "results"
+        assert main(["run", str(scn), "--out", str(out)]) == 0
+        meta = json.loads((out / "angle.json").read_text())
+        assert meta["quadrature_theta"] == 0.3
+        assert meta["quadrature_theta_source"] == "explicit"
+        lines = (out / "angle.csv").read_text().splitlines()
+        header = lines[0].split(", ")
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+        scenario = load_scenario(scn)
+        (scheme, drive, medium, input_matrix), _ = point_inputs(scenario)
+        liou = build_generator(scheme, drive)
+        rho = steady_state(liou)
+        field = propagate(
+            input_matrix, medium, liou, diffusion_matrix(liou, rho), rho,
+            scenario.grid.build(),
+        )
+        for comp in (1, 2):
+            expected = quadrature_noise(field.spectra[comp], 0.3).values
+            assert np.array_equal(table[:, header.index(f"s_x_e{comp}")], expected)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("oracles = qrt mollow", "quadrature = 1e308",
+         "quadrature spectrum has a non-negligible imaginary part (max |Im| = nan)"),
+        ("oracles = qrt mollow", "[input]\neps_a = 1e308\neps_p = 1e308",
+         "column 's_opt_e1' holds a non-finite value"),
+    ], ids=["quadrature_1e308", "eps_1e308"])
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_non_finite_table_exits_3_and_names_point(
+        self, tmp_path, capsys, old, new, message
+    ):
+        text = NOSWEEP.replace("polarization = circular", "polarization = linear")
+        scn = write(tmp_path, text.replace(old, new), name="huge.ini")
+        out = tmp_path / "results"
+        assert main(["validate", str(scn)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(scn), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"physics failure: scenario point 'huge': {message}" in err
+        assert not out.exists()
+
+    def test_negative_sweep_value_exits_2_without_output(self, tmp_path, capsys):
         text = GOOD.replace("values = 0.5, 1.0", "values = 1 -0.5")
         scn = write(tmp_path, text, name="negsweep.ini")
-        out = tmp_path / "results"
-        assert main(["validate", str(scn)]) == 2
-        assert main(["run", str(scn), "--out", str(out)]) == 2
-        assert not out.exists()
+        assert_rejected(scn, tmp_path / "results", capsys)
 
     @pytest.mark.parametrize("text", [
         NOSWEEP.replace("b0 = 0.1", "b0 = nan"),
@@ -627,18 +695,16 @@ class TestCli:
         NOSWEEP.replace("rabi = 1.0", "rabi = nan"),
         GOOD.replace("values = 0.5, 1.0", "values = 0.5 nan"),
     ], ids=["b0_nan", "b0_inf", "rabi_nan", "sweep_nan"])
-    def test_non_finite_value_exits_2_without_output(self, tmp_path, text):
+    def test_non_finite_value_exits_2_without_output(self, tmp_path, capsys, text):
         scn = write(tmp_path, text, name="nonfinite.ini")
-        out = tmp_path / "results"
-        assert main(["validate", str(scn)]) == 2
-        assert main(["run", str(scn), "--out", str(out)]) == 2
-        assert not out.exists()
+        assert "expected a finite number" in assert_rejected(
+            scn, tmp_path / "results", capsys
+        )
 
     def test_validate_broken_exits_2(self, tmp_path, capsys):
         text = NOSWEEP.replace("b0 = 0.1", "b0 = -2")
         scn = write(tmp_path, text, name="v2.ini")
-        assert main(["validate", str(scn)]) == 2
-        assert "error" in capsys.readouterr().out
+        assert "error: v2: " in assert_rejected(scn, tmp_path / "results", capsys)
 
     def test_run_without_scenario_or_preset_exits_2(self, capsys):
         assert main(["run"]) == 2
@@ -648,10 +714,14 @@ class TestCli:
         (
             "omega_min = 0.1\nomega_max = 2.0",
             "omega_min = -1e308\nomega_max = 1e308\nspacing = linear",
-            "grid span omega_max - omega_min overflows",
+            "omega_min = -1e+308, omega_max = 1e+308 overflow the linear grid",
         ),
         ("fg = 1\nfe = 2", "fg = 40\nfe = 41", "transition: fg must be <= 10, got 40"),
-    ], ids=["duplicate_oracle", "grid_span_overflow", "f_above_cap"])
+        ("count = 5", "count = 5\nsymmetrize = maybe",
+         "[grid] symmetrize: expected a boolean"),
+    ], ids=[
+        "duplicate_oracle", "grid_span_overflow", "f_above_cap", "symmetrize_maybe",
+    ])
     def test_rejected_input_exits_2_without_output(
         self, tmp_path, capsys, monkeypatch, old, new, message
     ):
@@ -661,15 +731,9 @@ class TestCli:
         monkeypatch.setattr(runner, "build_generator", no_build)
         assert old in NOSWEEP
         scn = write(tmp_path, NOSWEEP.replace(old, new), name="rejected.ini")
-        out = tmp_path / "results"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["validate", str(scn)]) == 2
-            captured = capsys.readouterr()
-            assert message in captured.out + captured.err
-            assert main(["run", str(scn), "--out", str(out)]) == 2
-            assert message in capsys.readouterr().err
-        assert not out.exists()
+            assert message in assert_rejected(scn, tmp_path / "results", capsys)
 
     @pytest.mark.parametrize("old, new, message", [
         ("[grid]\nomega_min = 1e-3\nomega_max = 5.0\ncount = 7\nspacing = log\n", "",
@@ -702,12 +766,7 @@ class TestCli:
         monkeypatch.setattr(runner, "build_generator", no_build)
         assert old in GOOD
         scn = write(tmp_path, GOOD.replace(old, new.format(tmp=tmp_path)))
-        out = tmp_path / "nest" / "out"
-        assert main(["validate", str(scn)]) == 2
-        captured = capsys.readouterr()
-        assert message in captured.out + captured.err
-        assert main(["run", str(scn), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        assert message in assert_rejected(scn, tmp_path / "nest" / "out", capsys)
         assert [p.name for p in tmp_path.rglob("*")] == [scn.name]
 
     @pytest.mark.parametrize("name, values, owners", [
@@ -736,6 +795,17 @@ class TestCli:
 
 
 class TestPresets:
+    def test_groups_are_the_preset_files_by_prefix(self):
+        assert PRESET_GROUPS == {
+            "fig2": ("fig2_mls", "fig2_tls"),
+            "fig3": ("fig3_mls", "fig3_tls"),
+            "fig4": ("fig4_mls", "fig4_tls"),
+            "fig5": (
+                "fig5_mls_ep0", "fig5_mls_ep10", "fig5_mls_ep100",
+                "fig5_tls_ep0", "fig5_tls_ep10", "fig5_tls_ep100",
+            ),
+        }
+
     def test_all_presets_load_and_validate(self):
         base = resources.files("zeenoise").joinpath("presets")
         for group, names in PRESET_GROUPS.items():
