@@ -12,7 +12,8 @@ stderr messages, then prints `<name>: ok (<k> warning(s))` on stdout.
 
 Exit codes: 0 success; 2 configuration problem (parse error or failed
 validation, with file/section/key context); 3 physics failure (any of
-errors.PHYSICS_ERRORS, naming the scenario point); 4 I/O failure.
+errors.PHYSICS_ERRORS) or a MemoryError, naming the scenario point; 4 I/O
+failure.
 The default output directory is $ZEENOISE_OUT, falling back to
 ./zeenoise-out.
 """
@@ -135,6 +136,9 @@ def _cmd_run(args):
             written.extend(run_scenario(scenario, out_dir))
         except PHYSICS_ERRORS as exc:
             print(f"physics failure: {exc}", file=sys.stderr)
+            return EXIT_PHYSICS
+        except MemoryError as exc:
+            print(f"out of memory: {exc}", file=sys.stderr)
             return EXIT_PHYSICS
         except OSError as exc:
             print(f"i/o failure: {exc}", file=sys.stderr)

@@ -63,7 +63,7 @@ def qrt_spectrum(liouvillian, rho, a_op, b_op, omega):
     Works directly on the master-equation generator from the steady-state
     density matrix `rho`; for the Hermitian pair (A, B) = (X+, X-) the
     physical two-sided spectrum is 2 Re of this. Returns a complex array
-    over `omega`.
+    over `omega`; a value repeated in `omega` is solved once.
     """
     gen = liouvillian.generator
     n2 = gen.shape[0]
@@ -71,8 +71,9 @@ def qrt_spectrum(liouvillian, rho, a_op, b_op, omega):
     mean_b = np.trace(b_op @ rho)
     seed = vec(b_op @ rho - mean_b * rho)
     eye = np.eye(n2)
-    out = np.empty(omega.shape, dtype=complex)
-    for i, w in enumerate(omega):
+    distinct, inverse = np.unique(omega, return_inverse=True)
+    out = np.empty(distinct.shape, dtype=complex)
+    for i, w in enumerate(distinct):
         if w == 0.0:
             # the generator's steady-state zero mode makes the solve
             # exactly singular; the LU factorization would hand back an
@@ -88,7 +89,7 @@ def qrt_spectrum(liouvillian, rho, a_op, b_op, omega):
                 f"regression solve is singular at Omega = {w!r}"
             ) from exc
         out[i] = np.trace(a_op @ unvec(sol))
-    return out
+    return out[inverse.reshape(omega.shape)]
 
 
 TwoLevelReference = namedtuple(

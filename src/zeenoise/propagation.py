@@ -7,12 +7,16 @@ response to the Langevin forces through the resolvent R(Omega) =
     C(Omega) = R(Omega) . 2D . R(-Omega)^T,
 
 from which any two-operator fluctuation spectrum FT<dA(t) dB(0)> is the
-projection a^T C(Omega) b. `propagate` inverts each resolvent R(+-|Omega|)
-once per distinct |Omega| of the grid, and the pair feeds both C(+|Omega|)
-and C(-|Omega|). The mean field is taken z-independent across the
-(optically thin) sample and back-action of field fluctuations on the atoms
-is neglected, so the output spectral matrix is the input plus an atomic term
-linear in b0, with no input/force cross terms.
+projection a^T C(Omega) b. None of this depends on b0 or on the input
+noise, so `atomic_correlations` solves it once for a transition, a drive
+and a grid: it inverts each resolvent R(+-|Omega|) once per distinct
+|Omega| of the grid, the pair feeds both C(+|Omega|) and C(-|Omega|), and
+it returns the four dipole projections of each polarization component.
+`propagate` then makes one output field from them per b0 and input
+matrix. The mean field is taken z-independent across the (optically thin)
+sample and back-action of field fluctuations on the atoms is neglected, so
+the output spectral matrix is the input plus an atomic term linear in b0,
+with no input/force cross terms.
 
 The atomic term is assembled in normally ordered form,
 
@@ -89,55 +93,77 @@ def atomic_response(liouvillian, two_d, omega):
     return r_plus, r_plus @ two_d @ r_minus.T
 
 
-def propagate(input_matrix, medium, liouvillian, two_d, rho, grid):
-    """Push the input field through the thin atomic sample.
-
-    `input_matrix` is the spectral matrix of the driven component (the
-    orthogonal input component is always vacuum); `two_d` is the
-    force-correlation matrix 2D from `diffusion_matrix` and `rho` the
-    steady-state density matrix. Returns an OutputField with per-component
-    spectra on `grid`; at b0 = 0 the output equals the input exactly.
-    """
+def _grid(grid):
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ArgumentError("frequency grid is empty")
+    return grid
+
+
+def atomic_correlations(liouvillian, two_d, grid):
+    """The b0-free fluctuation correlations of each polarization component.
+
+    Returns component -> [dg C(-Omega) lo, lo C(Omega) lo, dg C(Omega) dg,
+    dg C(Omega) lo] as complex arrays over `grid`, where lo and dg are the
+    vectorized dipole lowering operator and its adjoint; `propagate` scales
+    them into S11, S12, S21 and S22. `two_d` is the force-correlation matrix
+    2D from `diffusion_matrix`.
+    """
+    grid = _grid(grid)
+    scheme = liouvillian.scheme
+    drive = liouvillian.drive
+    proj = {}
+    for comp in _POLARIZATION_COMPONENTS:
+        op = drive.basis.operator(scheme, comp)
+        proj[comp] = (vec(op), vec(op.conj().T))
+    corr = {
+        c: [np.zeros(grid.shape, dtype=complex) for _ in range(4)]
+        for c in _POLARIZATION_COMPONENTS
+    }
+
+    indices = {}   # |Omega| -> grid indices, grouped in one pass
+    for i, w in enumerate(np.abs(grid).tolist()):
+        indices.setdefault(w, []).append(i)
+    for w in sorted(indices):
+        r_plus = _resolvent(liouvillian.drift, w)
+        r_minus = _resolvent(liouvillian.drift, -w)
+        kernel = {w: r_plus @ two_d @ r_minus.T, -w: r_minus @ two_d @ r_plus.T}
+        for i in indices[w]:
+            c_plus = kernel[grid[i]]
+            c_minus = kernel[-grid[i]]
+            for comp, (lo, dg) in proj.items():
+                corr[comp][0][i] = dg @ c_minus @ lo
+                corr[comp][1][i] = lo @ c_plus @ lo
+                corr[comp][2][i] = dg @ c_plus @ dg
+                corr[comp][3][i] = dg @ c_plus @ lo
+    return corr
+
+
+def propagate(input_matrix, medium, liouvillian, rho, grid, correlations):
+    """Push the input field through the thin atomic sample.
+
+    `input_matrix` is the spectral matrix of the driven component (the
+    orthogonal input component is always vacuum); `rho` is the steady-state
+    density matrix and `correlations` the `atomic_correlations` of
+    `liouvillian` on `grid`, which only b0 > 0 reads. Returns an
+    OutputField with per-component spectra on `grid`; at b0 = 0 the output
+    equals the input exactly.
+    """
+    grid = _grid(grid)
     scheme = liouvillian.scheme
     drive = liouvillian.drive
     b0 = medium.b0
     k2 = 0.25 * b0 * scheme.gamma
-
     ops = {c: drive.basis.operator(scheme, c) for c in _POLARIZATION_COMPONENTS}
-    proj_low = {c: vec(ops[c]) for c in ops}
-    proj_dag = {c: vec(ops[c].conj().T) for c in ops}
 
-    shape = grid.shape
-    at = {
-        c: [np.zeros(shape, dtype=complex) for _ in range(4)]
-        for c in _POLARIZATION_COMPONENTS
-    }
-
-    if b0 > 0:
-        indices = {}   # |Omega| -> grid indices, grouped in one pass
-        for i, w in enumerate(np.abs(grid).tolist()):
-            indices.setdefault(w, []).append(i)
-        for w in sorted(indices):
-            r_plus = _resolvent(liouvillian.drift, w)
-            r_minus = _resolvent(liouvillian.drift, -w)
-            kernel = {w: r_plus @ two_d @ r_minus.T, -w: r_minus @ two_d @ r_plus.T}
-            for i in indices[w]:
-                c_plus = kernel[grid[i]]
-                c_minus = kernel[-grid[i]]
-                for comp in _POLARIZATION_COMPONENTS:
-                    lo, dg = proj_low[comp], proj_dag[comp]
-                    at[comp][0][i] = k2 * (dg @ c_minus @ lo)   # S11
-                    at[comp][1][i] = -k2 * (lo @ c_plus @ lo)   # S12
-                    at[comp][2][i] = -k2 * (dg @ c_plus @ dg)   # S21
-                    at[comp][3][i] = k2 * (dg @ c_plus @ lo)    # S22
-
-    atomic = {
-        c: SpectralMatrix(*(at[c][k] for k in range(4)), grid=grid)
-        for c in _POLARIZATION_COMPONENTS
-    }
+    atomic = {}
+    for comp in _POLARIZATION_COMPONENTS:
+        if b0 > 0:
+            c11, c12, c21, c22 = correlations[comp]
+            entries = (k2 * c11, -k2 * c12, -k2 * c21, k2 * c22)  # S11..S22
+        else:
+            entries = (np.zeros(grid.shape, dtype=complex) for _ in range(4))
+        atomic[comp] = SpectralMatrix(*entries, grid=grid)
     inputs = {1: input_matrix, 2: excess_noise_input(0.0, 0.0)}
     spectra = {c: inputs[c] + atomic[c] for c in _POLARIZATION_COMPONENTS}
 

@@ -10,11 +10,20 @@ requests an explicit angle). Observables that do not apply are left as
 empty fields, never written as zeros. Each CSV gets a JSON sidecar holding
 every input parameter, the convention tags, and the carrier/dephasing
 values, so any number in the table can be recomputed from the sidecar
-alone. The pipeline is deterministic: no randomness anywhere, and one loop
-over the grid computes every frequency point, so reruns are bit-identical.
+alone.
+
+Only the transition and the drive fix the atomic part of a point: the
+generator, the steady state, the diffusion matrix, the resolvent
+correlations and the QRT spectra on the scenario's grid. `run_scenario`
+solves that part once, as an `Atoms`, for each run of consecutive points
+with equal [transition] and [drive] values, so a b0 or eps_p sweep solves
+the atoms once. Each point then scales the shared correlations by its own
+k2 = b0*gamma/4 and adds its own input matrix and carrier. The pipeline is
+deterministic, with no randomness anywhere, so reruns are bit-identical.
 """
 
 from dataclasses import asdict
+from functools import cached_property
 from pathlib import Path
 
 import json
@@ -31,24 +40,82 @@ from .observables import (
     quadrature_noise,
 )
 from .oracles import mollow_spectrum, qrt_spectrum
-from .propagation import propagate
-from .scenario import PARAMETERS, point_inputs
+from .propagation import atomic_correlations, propagate
+from .scenario import KEYS, PARAMETERS, point_inputs
 
 OUTPUT_DIR_ENV = "ZEENOISE_OUT"
 DEFAULT_OUTPUT_DIR = "zeenoise-out"
 
+# The Scenario fields an Atoms depends on; every point of a scenario shares
+# its grid.
+ATOMIC_KEYS = tuple(
+    key for section, key, _, _ in KEYS if section in ("transition", "drive")
+)
 
-def compute_point(scenario):
-    """(columns, metadata) of one effective scenario; a None column is empty."""
-    (scheme, drive, medium, input_matrix), errors = point_inputs(scenario)
+
+def _inputs(point):
+    """point_inputs(point), raising ArgumentError on any of its errors."""
+    inputs, errors = point_inputs(point)
     if errors:
         raise ArgumentError("; ".join(errors))
-    liou = build_generator(scheme, drive)
-    rho = steady_state(liou)
-    two_d = diffusion_matrix(liou, rho)
-    grid = scenario.grid.build()
+    return inputs
 
-    out = propagate(input_matrix, medium, liou, two_d, rho, grid)
+
+def _require_finite(kind, values):
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise NumericalError(f"{kind} {name!r} holds a non-finite value")
+
+
+class Atoms:
+    """The part of a scenario point that b0 and the input noise leave alone.
+
+    Built from one point, it holds for every point with the same
+    ATOMIC_KEYS values. The resolvent correlations and the QRT spectra are
+    solved on first use, so points at b0 = 0 invert no resolvent.
+    """
+
+    def __init__(self, point):
+        scheme, drive, _, _ = _inputs(point)
+        self.liouvillian = build_generator(scheme, drive)
+        self.rho = steady_state(self.liouvillian)
+        self.two_d = diffusion_matrix(self.liouvillian, self.rho)
+        self.grid = point.grid.build()
+
+    @cached_property
+    def correlations(self):
+        return atomic_correlations(self.liouvillian, self.two_d, self.grid)
+
+    @cached_property
+    def qrt(self):
+        """Component -> one-sided regression spectrum over |grid|."""
+        liou = self.liouvillian
+        wabs = np.abs(self.grid)
+        spectra = {}
+        for comp in (1, 2):
+            op = liou.drive.basis.operator(liou.scheme, comp)
+            spectra[comp] = qrt_spectrum(liou, self.rho, op.conj().T, op, wabs)
+        return spectra
+
+
+def compute_point(scenario, atoms):
+    """(columns, metadata) of one effective scenario; a None column is empty.
+
+    `atoms` is the Atoms of a point with the same ATOMIC_KEYS values.
+    """
+    scheme, _, medium, input_matrix = _inputs(scenario)
+    grid = atoms.grid
+    correlations = atoms.correlations if medium.b0 > 0 else None
+    out = propagate(
+        input_matrix, medium, atoms.liouvillian, atoms.rho, grid, correlations
+    )
+    sidecar = {
+        "carrier_e1": [out.carrier[1].real, out.carrier[1].imag],
+        "carrier_e2": [out.carrier[2].real, out.carrier[2].imag],
+        "phi_e1": out.phi[1],
+        "phi_e2": out.phi[2],
+    }
+    _require_finite("sidecar value", sidecar)
 
     if scenario.quadrature_theta is not None:
         theta = float(scenario.quadrature_theta)
@@ -70,9 +137,7 @@ def compute_point(scenario):
     for oracle in scenario.oracles:
         if oracle == "qrt":
             for comp, name in ((1, "qrt_opt_e1"), (2, "qrt_opt_e2")):
-                op = drive.basis.operator(scheme, comp)
-                one_sided = qrt_spectrum(liou, rho, op.conj().T, op, wabs)
-                columns[name] = kappa2 * 2.0 * one_sided.real
+                columns[name] = kappa2 * 2.0 * atoms.qrt[comp].real
         elif oracle == "mollow":
             if scenario.polarization == "circular":
                 columns["mollow_opt_e1"] = kappa2 * mollow_spectrum(
@@ -80,10 +145,7 @@ def compute_point(scenario):
                 )
             else:
                 columns["mollow_opt_e1"] = None
-
-    for name, column in columns.items():
-        if column is not None and not np.all(np.isfinite(column)):
-            raise NumericalError(f"column {name!r} holds a non-finite value")
+    _require_finite("column", columns)
 
     metadata = {
         "conventions_version": CONVENTIONS_VERSION,
@@ -93,10 +155,7 @@ def compute_point(scenario):
         "oracles": list(scenario.oracles),
         "quadrature_theta": theta,
         "quadrature_theta_source": theta_source,
-        "carrier_e1": [out.carrier[1].real, out.carrier[1].imag],
-        "carrier_e2": [out.carrier[2].real, out.carrier[2].imag],
-        "phi_e1": out.phi[1],
-        "phi_e2": out.phi[2],
+        **sidecar,
         "columns": list(columns),
     }
     return columns, metadata
@@ -127,12 +186,21 @@ def write_point(columns, metadata, out_dir, label):
 
 
 def run_scenario(scenario, out_dir):
-    """Compute and write one table per scenario point; returns written paths."""
+    """Compute and write one table per scenario point; returns written paths.
+
+    A run of consecutive points with equal ATOMIC_KEYS values shares one
+    Atoms, dropped before the next run's is built.
+    """
     written = []
+    key = atoms = None
     for label, value, point in scenario.points():
         try:
-            columns, metadata = compute_point(point)
-        except PHYSICS_ERRORS as exc:
+            point_key = tuple(getattr(point, k) for k in ATOMIC_KEYS)
+            if point_key != key:
+                atoms = None  # free the previous run's arrays first
+                atoms, key = Atoms(point), point_key
+            columns, metadata = compute_point(point, atoms)
+        except (*PHYSICS_ERRORS, MemoryError) as exc:
             exc.args = (f"scenario point '{label}': {exc}",)
             raise
         metadata["label"] = label

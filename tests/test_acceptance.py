@@ -29,6 +29,7 @@ from zeenoise import (
 from zeenoise.analysis import peak_census, zero_peak_half_width
 from zeenoise.angular import dipole_component
 from zeenoise.oracles import mollow_spectrum, qrt_spectrum
+from zeenoise.propagation import atomic_correlations
 from zeenoise.cli import main
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
@@ -44,7 +45,8 @@ def run_pipeline(pol, rabi, det, b0, grid, eps_a=0.0, eps_p=0.0):
     diff = diffusion_matrix(liou, steady)
     inp = excess_noise_input(eps_a, eps_p)
     out = propagate(
-        inp, MediumParams(b0=b0), liou, diff, steady, np.asarray(grid)
+        inp, MediumParams(b0=b0), liou, steady, grid,
+        atomic_correlations(liou, diff, grid),
     )
     return liou, steady, basis, out
 

@@ -11,6 +11,7 @@ from zeenoise import (
     build_generator,
     steady_state,
 )
+from zeenoise.conventions import unvec, vec
 from zeenoise.oracles import mollow_spectrum, qrt_spectrum, two_level_reference
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
@@ -103,6 +104,33 @@ class TestQrtSpectrum:
             ours = 2 * qrt_spectrum(liou, steady, op.conj().T, op, w).real
             ref = mollow_spectrum(w, rabi, det)
             assert np.allclose(ours, ref, rtol=1e-9, atol=1e-13)
+
+    def test_each_distinct_frequency_is_solved_once(self, monkeypatch):
+        """A grid with repeated, mixed-sign entries, taken as |Omega| the way
+        the runner passes it: one solve per distinct value, and every entry
+        bitwise equal to a per-entry solve loop."""
+        op = CIRC.operator(SCHEME, 1)
+        rho = self.steady
+        wabs = np.abs([2.0, -0.5, 1e-3, 0.5, 2.0, -2.0])
+        seed = vec(op @ rho - np.trace(op @ rho) * rho)
+        eye = np.eye(64)
+        expected = [
+            np.trace(op.conj().T @ unvec(
+                np.linalg.solve(-1j * w * eye - self.liou.generator, seed)
+            ))
+            for w in wabs
+        ]
+        solved = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            solved.append(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        out = qrt_spectrum(self.liou, rho, op.conj().T, op, wabs)
+        assert len(solved) == len(np.unique(wabs)) == 3
+        assert np.array_equal(out, expected)
 
     def test_decays_at_large_frequency(self):
         op = CIRC.operator(SCHEME, 1)

@@ -22,9 +22,9 @@ from zeenoise import (
 from zeenoise.conventions import vec
 from zeenoise.errors import PHYSICS_ERRORS
 from zeenoise.oracles import two_level_reference
-from zeenoise.propagation import atomic_response
-from zeenoise.runner import compute_point
-from zeenoise.scenario import GridSpec, Scenario
+from zeenoise.propagation import atomic_correlations, atomic_response
+from zeenoise.runner import Atoms, compute_point, run_scenario
+from zeenoise.scenario import GridSpec, Scenario, SweepSpec
 
 GRID = np.array([1e-3, 0.1, 0.7, 3.0, 12.0])
 
@@ -44,7 +44,8 @@ def run(mode, rabi, detuning=0.0, b0=0.1, input_matrix=None, grid=GRID, **kw):
     if input_matrix is None:
         input_matrix = excess_noise_input(0.0, 0.0)
     out = propagate(
-        input_matrix, MediumParams(b0), liou, diff, steady, grid, **kw
+        input_matrix, MediumParams(b0), liou, steady, grid,
+        atomic_correlations(liou, diff, grid), **kw
     )
     return out
 
@@ -52,7 +53,8 @@ def run(mode, rabi, detuning=0.0, b0=0.1, input_matrix=None, grid=GRID, **kw):
 def phi(liou, diff, steady, b0):
     """Dephasing angle of the driven component after the medium."""
     out = propagate(
-        excess_noise_input(0.0, 0.0), MediumParams(b0), liou, diff, steady, [1.0]
+        excess_noise_input(0.0, 0.0), MediumParams(b0), liou, steady, [1.0],
+        atomic_correlations(liou, diff, [1.0]),
     )
     return out.phi[1]
 
@@ -70,9 +72,9 @@ def test_empty_grid_rejected():
             excess_noise_input(0.0, 0.0),
             MediumParams(0.1),
             liou,
-            diff,
             steady,
             np.array([]),
+            {},
         )
 
 
@@ -180,7 +182,7 @@ def resolvent_calls(monkeypatch, grid):
         name="count", fg=1, fe=2, gamma=1.0, polarization="linear",
         rabi=1.0, detuning=0.0, b0=0.1, grid=grid,
     )
-    compute_point(scenario)
+    compute_point(scenario, Atoms(scenario))
     omegas = grid.build()
     assert np.array_equal(
         sorted(calls), np.unique(np.concatenate([omegas, -omegas]))
@@ -198,6 +200,29 @@ def test_one_sided_grid_inverts_each_resolvent_once(monkeypatch):
     """C(-Omega) of a one-sided grid reuses the resolvents of C(+Omega)."""
     grid = GridSpec(0.1, 2.0, 4, "log")
     assert len(resolvent_calls(monkeypatch, grid)) == 2 * grid.build().size
+
+
+@pytest.mark.parametrize("values, inversions", [((0.0,), 0), ((0.0, 0.1, 0.2), 8)])
+def test_b0_sweep_inverts_each_resolvent_once(
+    tmp_path, monkeypatch, values, inversions
+):
+    """The points of a b0 sweep share one set of resolvents, and points at
+    b0 = 0 need none."""
+    calls = []
+    original = zeenoise.propagation._resolvent
+
+    def counting(drift, omega):
+        calls.append(omega)
+        return original(drift, omega)
+
+    monkeypatch.setattr(zeenoise.propagation, "_resolvent", counting)
+    scenario = Scenario(
+        name="count", fg=1, fe=2, gamma=1.0, polarization="linear",
+        rabi=1.0, detuning=0.0, b0=0.1, grid=GridSpec(0.1, 2.0, 4, "log"),
+        sweep=SweepSpec("b0", values),
+    )
+    run_scenario(scenario, tmp_path)
+    assert len(calls) == inversions
 
 
 _UP_TO_MAX = st.floats(0.0, 1e308)
@@ -230,7 +255,7 @@ def test_compute_point_is_finite_or_raises_physics_error(
         quadrature_theta=theta,
     )
     try:
-        columns, _ = compute_point(scenario)
+        columns, _ = compute_point(scenario, Atoms(scenario))
     except PHYSICS_ERRORS:
         return
     for name, column in columns.items():
@@ -348,9 +373,9 @@ def test_dilation_invariance_end_to_end():
         excess_noise_input(0.0, 0.0),
         MediumParams(0.2),
         liou,
-        diff,
         steady,
         s * GRID,
+        atomic_correlations(liou, diff, s * GRID),
     )
     for comp in (1, 2):
         assert np.allclose(

@@ -24,8 +24,10 @@ from zeenoise import (
     steady_state,
     validate_scenario,
 )
+import zeenoise.propagation
 from zeenoise import runner
 from zeenoise.cli import PRESET_GROUPS, main
+from zeenoise.propagation import atomic_correlations
 from zeenoise.scenario import GridSpec, point_inputs
 
 GOOD = """
@@ -656,9 +658,10 @@ class TestCli:
         (scheme, drive, medium, input_matrix), _ = point_inputs(scenario)
         liou = build_generator(scheme, drive)
         rho = steady_state(liou)
+        grid = scenario.grid.build()
         field = propagate(
-            input_matrix, medium, liou, diffusion_matrix(liou, rho), rho,
-            scenario.grid.build(),
+            input_matrix, medium, liou, rho, grid,
+            atomic_correlations(liou, diffusion_matrix(liou, rho), grid),
         )
         for comp in (1, 2):
             expected = quadrature_noise(field.spectra[comp], 0.3).values
@@ -682,6 +685,41 @@ class TestCli:
         assert main(["run", str(scn), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"physics failure: scenario point 'huge': {message}" in err
+        assert not out.exists()
+
+    def test_memory_error_exits_3_and_names_point(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def exhausted(scheme, drive):
+            raise MemoryError("cannot allocate the generator")
+
+        monkeypatch.setattr(runner, "build_generator", exhausted)
+        scn = write(tmp_path, NOSWEEP, name="big.ini")
+        out = tmp_path / "results"
+        assert main(["run", str(scn), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "out of memory: scenario point 'big': cannot allocate the generator"
+            in err
+        )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_non_finite_sidecar_value_exits_3_and_names_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            zeenoise.propagation, "_carrier_susceptibility",
+            lambda *args: complex("nan"),
+        )
+        scn = write(tmp_path, NOSWEEP, name="dephased.ini")
+        out = tmp_path / "results"
+        assert main(["run", str(scn), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "physics failure: scenario point 'dephased': sidecar value "
+            "'carrier_e1' holds a non-finite value" in err
+        )
         assert not out.exists()
 
     def test_negative_sweep_value_exits_2_without_output(self, tmp_path, capsys):
@@ -792,6 +830,61 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"table label 'fig3_tls_rabi_0.1' belongs to scenarios {owners}" in err
         assert not out.exists()
+
+
+def swept(parameter, values):
+    """GOOD with its rabi sweep replaced by `parameter` over `values`."""
+    return GOOD.replace(
+        "parameter = rabi\nvalues = 0.5, 1.0",
+        f"parameter = {parameter}\nvalues = {' '.join(map(str, values))}",
+    )
+
+
+@pytest.mark.parametrize("parameter, values, builds", [
+    ("b0", [round(0.035 * k, 3) for k in range(14)], 1),
+    ("eps_p", [0, 10, 100], 1),
+    ("rabi", [0.5, 1, 2], 3),
+])
+def test_sweep_builds_one_generator_per_transition_and_drive(
+    tmp_path, monkeypatch, parameter, values, builds
+):
+    built = []
+    original = runner.build_generator
+
+    def counting(scheme, drive):
+        built.append(drive)
+        return original(scheme, drive)
+
+    monkeypatch.setattr(runner, "build_generator", counting)
+    scenario = load_scenario(write(tmp_path, swept(parameter, values)))
+    assert len(runner.run_scenario(scenario, tmp_path / "out")) == 2 * len(values)
+    assert len(built) == builds
+
+
+def test_b0_sweep_writes_the_tables_of_one_scenario_per_value(tmp_path):
+    """Sharing the atoms across a b0 sweep moves no byte of any table."""
+    values = (0, 0.05, 0.3)
+    text = swept("b0", values).replace(
+        "polarization = linear", "polarization = circular"
+    ).replace("oracles = qrt", "oracles = qrt mollow")
+    runner.run_scenario(load_scenario(write(tmp_path, text)), tmp_path / "swept")
+    sweep_section = f"[sweep]\nparameter = b0\nvalues = {' '.join(map(str, values))}\n"
+    assert sweep_section in text
+    for value in values:
+        label = f"demo_b0_{value:g}"
+        single = text.replace(sweep_section, "").replace(
+            "name = demo", f"name = {label}"
+        ).replace("b0 = 0.2", f"b0 = {value}")
+        scenario = load_scenario(write(tmp_path, single, name=f"{label}.ini"))
+        runner.run_scenario(scenario, tmp_path / "single")
+        a, b = tmp_path / "swept", tmp_path / "single"
+        csv = f"{label}.csv"
+        assert (a / csv).read_bytes() == (b / csv).read_bytes()
+        meta = [json.loads((d / f"{label}.json").read_text()) for d in (a, b)]
+        assert meta[0].pop("sweep_parameter") == "b0"
+        assert meta[0].pop("sweep_value") == value
+        assert meta[1].pop("sweep_parameter") is meta[1].pop("sweep_value") is None
+        assert meta[0] == meta[1]
 
 
 class TestPresets:
