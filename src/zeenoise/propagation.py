@@ -8,15 +8,17 @@ response to the Langevin forces through the resolvent R(Omega) =
 
 from which any two-operator fluctuation spectrum FT<dA(t) dB(0)> is the
 projection a^T C(Omega) b. None of this depends on b0 or on the input
-noise, so `atomic_correlations` solves it once for a transition, a drive
-and a grid: it inverts each resolvent R(+-|Omega|) once per distinct
-|Omega| of the grid, the pair feeds both C(+|Omega|) and C(-|Omega|), and
-it returns the four dipole projections of each polarization component.
-`propagate` then makes one output field from them per b0 and input
-matrix. The mean field is taken z-independent across the (optically thin)
-sample and back-action of field fluctuations on the atoms is neglected, so
-the output spectral matrix is the input plus an atomic term linear in b0,
-with no input/force cross terms.
+noise, so an `Atoms` holds it for one transition, drive and grid: it takes
+the generator, the steady state and 2D, builds the dipole operators of
+both polarization components once, and solves its `correlations` on first
+use, inverting each resolvent R(+-|Omega|) once per distinct |Omega| of
+the grid (the pair feeds both C(+|Omega|) and C(-|Omega|)). `propagate`
+then makes one output field from an `Atoms` per b0 and input matrix, and
+reads the correlations only at b0 > 0. The mean field is taken
+z-independent across the (optically thin) sample and back-action of field
+fluctuations on the atoms is neglected, so the output spectral matrix is
+the input plus an atomic term linear in b0, with no input/force cross
+terms.
 
 The atomic term is assembled in normally ordered form,
 
@@ -33,6 +35,7 @@ the weak resonant two-level intensity transmission exactly exp(-b0)
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,101 +96,93 @@ def atomic_response(liouvillian, two_d, omega):
     return r_plus, r_plus @ two_d @ r_minus.T
 
 
-def _grid(grid):
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ArgumentError("frequency grid is empty")
-    return grid
+class Atoms:
+    """The b0-free response of one transition and drive on one grid.
 
-
-def atomic_correlations(liouvillian, two_d, grid):
-    """The b0-free fluctuation correlations of each polarization component.
-
-    Returns component -> [dg C(-Omega) lo, lo C(Omega) lo, dg C(Omega) dg,
-    dg C(Omega) lo] as complex arrays over `grid`, where lo and dg are the
-    vectorized dipole lowering operator and its adjoint; `propagate` scales
-    them into S11, S12, S21 and S22. `two_d` is the force-correlation matrix
-    2D from `diffusion_matrix`.
+    `liouvillian`, `rho` and `two_d` are the outputs of `build_generator`,
+    `steady_state` and `diffusion_matrix`. `operators` maps each
+    polarization component to its dipole lowering operator. The
+    correlations are solved on first use, so a b0 = 0 point inverts no
+    resolvent.
     """
-    grid = _grid(grid)
-    scheme = liouvillian.scheme
-    drive = liouvillian.drive
-    proj = {}
-    for comp in _POLARIZATION_COMPONENTS:
-        op = drive.basis.operator(scheme, comp)
-        proj[comp] = (vec(op), vec(op.conj().T))
-    corr = {
-        c: [np.zeros(grid.shape, dtype=complex) for _ in range(4)]
-        for c in _POLARIZATION_COMPONENTS
-    }
 
-    indices = {}   # |Omega| -> grid indices, grouped in one pass
-    for i, w in enumerate(np.abs(grid).tolist()):
-        indices.setdefault(w, []).append(i)
-    for w in sorted(indices):
-        r_plus = _resolvent(liouvillian.drift, w)
-        r_minus = _resolvent(liouvillian.drift, -w)
-        kernel = {w: r_plus @ two_d @ r_minus.T, -w: r_minus @ two_d @ r_plus.T}
-        for i in indices[w]:
-            c_plus = kernel[grid[i]]
-            c_minus = kernel[-grid[i]]
-            for comp, (lo, dg) in proj.items():
-                corr[comp][0][i] = dg @ c_minus @ lo
-                corr[comp][1][i] = lo @ c_plus @ lo
-                corr[comp][2][i] = dg @ c_plus @ dg
-                corr[comp][3][i] = dg @ c_plus @ lo
-    return corr
+    def __init__(self, liouvillian, rho, two_d, grid):
+        self.grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        if self.grid.size == 0:
+            raise ArgumentError("frequency grid is empty")
+        self.liouvillian = liouvillian
+        self.rho = rho
+        self.two_d = two_d
+        self.operators = {
+            c: liouvillian.drive.basis.operator(liouvillian.scheme, c)
+            for c in _POLARIZATION_COMPONENTS
+        }
+
+    @cached_property
+    def correlations(self):
+        """Component -> [dg C(-Omega) lo, lo C(Omega) lo, dg C(Omega) dg,
+        dg C(Omega) lo] as complex arrays over the grid, where lo and dg are
+        the vectorized dipole lowering operator and its adjoint; `propagate`
+        scales them into S11, S12, S21 and S22."""
+        grid = self.grid
+        drift = self.liouvillian.drift
+        two_d = self.two_d
+        proj = {
+            c: (vec(op), vec(op.conj().T)) for c, op in self.operators.items()
+        }
+        corr = {
+            c: [np.zeros(grid.shape, dtype=complex) for _ in range(4)]
+            for c in proj
+        }
+
+        indices = {}   # |Omega| -> grid indices, grouped in one pass
+        for i, w in enumerate(np.abs(grid).tolist()):
+            indices.setdefault(w, []).append(i)
+        for w in sorted(indices):
+            r_plus = _resolvent(drift, w)
+            r_minus = _resolvent(drift, -w)
+            kernel = {w: r_plus @ two_d @ r_minus.T, -w: r_minus @ two_d @ r_plus.T}
+            for i in indices[w]:
+                c_plus = kernel[grid[i]]
+                c_minus = kernel[-grid[i]]
+                for comp, (lo, dg) in proj.items():
+                    corr[comp][0][i] = dg @ c_minus @ lo
+                    corr[comp][1][i] = lo @ c_plus @ lo
+                    corr[comp][2][i] = dg @ c_plus @ dg
+                    corr[comp][3][i] = dg @ c_plus @ lo
+        return corr
 
 
-def propagate(input_matrix, medium, liouvillian, rho, grid, correlations):
+def propagate(input_matrix, medium, atoms):
     """Push the input field through the thin atomic sample.
 
     `input_matrix` is the spectral matrix of the driven component (the
-    orthogonal input component is always vacuum); `rho` is the steady-state
-    density matrix and `correlations` the `atomic_correlations` of
-    `liouvillian` on `grid`, which only b0 > 0 reads. Returns an
-    OutputField with per-component spectra on `grid`; at b0 = 0 the output
-    equals the input exactly.
+    orthogonal input component is always vacuum) and `atoms` the `Atoms`
+    of the transition and drive. Returns an OutputField with per-component
+    spectra on `atoms.grid`; at b0 = 0 the output equals the input exactly
+    and no correlation is solved.
     """
-    grid = _grid(grid)
-    scheme = liouvillian.scheme
-    drive = liouvillian.drive
+    grid = atoms.grid
+    scheme = atoms.liouvillian.scheme
+    drive = atoms.liouvillian.drive
     b0 = medium.b0
     k2 = 0.25 * b0 * scheme.gamma
-    ops = {c: drive.basis.operator(scheme, c) for c in _POLARIZATION_COMPONENTS}
+    if b0 > 0 and drive.rabi == 0:
+        raise ArgumentError("carrier update undefined at zero Rabi frequency")
 
-    atomic = {}
-    for comp in _POLARIZATION_COMPONENTS:
+    inputs = {1: input_matrix, 2: excess_noise_input(0.0, 0.0)}
+    out = OutputField(grid=grid, carrier={}, phi={}, spectra={}, atomic={})
+    for comp, op in atoms.operators.items():
         if b0 > 0:
-            c11, c12, c21, c22 = correlations[comp]
+            c11, c12, c21, c22 = atoms.correlations[comp]
             entries = (k2 * c11, -k2 * c12, -k2 * c21, k2 * c22)  # S11..S22
+            mean_dipole = np.trace(atoms.rho @ op)
+            chi = 0.5 * b0 * scheme.gamma * mean_dipole / drive.rabi
         else:
             entries = (np.zeros(grid.shape, dtype=complex) for _ in range(4))
-        atomic[comp] = SpectralMatrix(*entries, grid=grid)
-    inputs = {1: input_matrix, 2: excess_noise_input(0.0, 0.0)}
-    spectra = {c: inputs[c] + atomic[c] for c in _POLARIZATION_COMPONENTS}
-
-    carrier = {}
-    phi = {}
-    for comp in _POLARIZATION_COMPONENTS:
-        chi = _carrier_susceptibility(rho, ops[comp], drive, b0, scheme)
-        carrier[comp] = np.exp(1j * chi) if comp == 1 else 0.0j
-        phi[comp] = float(chi.real)
-
-    return OutputField(
-        grid=grid,
-        carrier=carrier,
-        phi=phi,
-        spectra=spectra,
-        atomic=atomic,
-    )
-
-
-def _carrier_susceptibility(rho, op, drive, b0, scheme):
-    if b0 == 0:
-        return 0.0j
-    if drive.rabi == 0:
-        raise ArgumentError("carrier update undefined at zero Rabi frequency")
-    mean_dipole = np.trace(rho @ op)
-    return 0.5 * b0 * scheme.gamma * mean_dipole / drive.rabi
-
+            chi = 0.0j
+        out.atomic[comp] = SpectralMatrix(*entries, grid=grid)
+        out.spectra[comp] = inputs[comp] + out.atomic[comp]
+        out.carrier[comp] = np.exp(1j * chi) if comp == 1 else 0.0j
+        out.phi[comp] = float(chi.real)
+    return out

@@ -13,17 +13,16 @@ values, so any number in the table can be recomputed from the sidecar
 alone.
 
 Only the transition and the drive fix the atomic part of a point: the
-generator, the steady state, the diffusion matrix, the resolvent
-correlations and the QRT spectra on the scenario's grid. `run_scenario`
-solves that part once, as an `Atoms`, for each run of consecutive points
-with equal [transition] and [drive] values, so a b0 or eps_p sweep solves
-the atoms once. Each point then scales the shared correlations by its own
-k2 = b0*gamma/4 and adds its own input matrix and carrier. The pipeline is
+generator, the steady state and the diffusion matrix, which make one
+`propagation.Atoms` on the scenario's grid, and the QRT spectra of the
+qrt oracle. `run_scenario` solves that part once for each run of
+consecutive points with equal [transition] and [drive] values, so a b0 or
+eps_p sweep solves the atoms once. Each point then hands the shared Atoms
+to `propagate` with its own b0 and input matrix. The pipeline is
 deterministic, with no randomness anywhere, so reruns are bit-identical.
 """
 
 from dataclasses import asdict
-from functools import cached_property
 from pathlib import Path
 
 import json
@@ -40,14 +39,14 @@ from .observables import (
     quadrature_noise,
 )
 from .oracles import mollow_spectrum, qrt_spectrum
-from .propagation import atomic_correlations, propagate
+from .propagation import Atoms, propagate
 from .scenario import KEYS, PARAMETERS, point_inputs
 
 OUTPUT_DIR_ENV = "ZEENOISE_OUT"
 DEFAULT_OUTPUT_DIR = "zeenoise-out"
 
-# The Scenario fields an Atoms depends on; every point of a scenario shares
-# its grid.
+# The Scenario fields the atomic part of a point depends on; every point of
+# a scenario shares its grid and oracles.
 ATOMIC_KEYS = tuple(
     key for section, key, _, _ in KEYS if section in ("transition", "drive")
 )
@@ -67,48 +66,36 @@ def _require_finite(kind, values):
             raise NumericalError(f"{kind} {name!r} holds a non-finite value")
 
 
-class Atoms:
-    """The part of a scenario point that b0 and the input noise leave alone.
+def solve_atoms(point):
+    """(Atoms, QRT spectra) of a point, shared by every point with the
+    same ATOMIC_KEYS values.
 
-    Built from one point, it holds for every point with the same
-    ATOMIC_KEYS values. The resolvent correlations and the QRT spectra are
-    solved on first use, so points at b0 = 0 invert no resolvent.
+    The QRT spectra map each component to its one-sided regression spectrum
+    over |grid|, and are None unless the point asks for the qrt oracle.
     """
-
-    def __init__(self, point):
-        scheme, drive, _, _ = _inputs(point)
-        self.liouvillian = build_generator(scheme, drive)
-        self.rho = steady_state(self.liouvillian)
-        self.two_d = diffusion_matrix(self.liouvillian, self.rho)
-        self.grid = point.grid.build()
-
-    @cached_property
-    def correlations(self):
-        return atomic_correlations(self.liouvillian, self.two_d, self.grid)
-
-    @cached_property
-    def qrt(self):
-        """Component -> one-sided regression spectrum over |grid|."""
-        liou = self.liouvillian
-        wabs = np.abs(self.grid)
-        spectra = {}
-        for comp in (1, 2):
-            op = liou.drive.basis.operator(liou.scheme, comp)
-            spectra[comp] = qrt_spectrum(liou, self.rho, op.conj().T, op, wabs)
-        return spectra
+    scheme, drive, _, _ = _inputs(point)
+    liou = build_generator(scheme, drive)
+    rho = steady_state(liou)
+    atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), point.grid.build())
+    qrt = None
+    if "qrt" in point.oracles:
+        wabs = np.abs(atoms.grid)
+        qrt = {
+            c: qrt_spectrum(liou, rho, op.conj().T, op, wabs)
+            for c, op in atoms.operators.items()
+        }
+    return atoms, qrt
 
 
-def compute_point(scenario, atoms):
+def compute_point(scenario, atoms, qrt):
     """(columns, metadata) of one effective scenario; a None column is empty.
 
-    `atoms` is the Atoms of a point with the same ATOMIC_KEYS values.
+    `atoms` and `qrt` are the `solve_atoms` of a point with the same
+    ATOMIC_KEYS values.
     """
     scheme, _, medium, input_matrix = _inputs(scenario)
     grid = atoms.grid
-    correlations = atoms.correlations if medium.b0 > 0 else None
-    out = propagate(
-        input_matrix, medium, atoms.liouvillian, atoms.rho, grid, correlations
-    )
+    out = propagate(input_matrix, medium, atoms)
     sidecar = {
         "carrier_e1": [out.carrier[1].real, out.carrier[1].imag],
         "carrier_e2": [out.carrier[2].real, out.carrier[2].imag],
@@ -137,7 +124,7 @@ def compute_point(scenario, atoms):
     for oracle in scenario.oracles:
         if oracle == "qrt":
             for comp, name in ((1, "qrt_opt_e1"), (2, "qrt_opt_e2")):
-                columns[name] = kappa2 * 2.0 * atoms.qrt[comp].real
+                columns[name] = kappa2 * 2.0 * qrt[comp].real
         elif oracle == "mollow":
             if scenario.polarization == "circular":
                 columns["mollow_opt_e1"] = kappa2 * mollow_spectrum(
@@ -189,17 +176,17 @@ def run_scenario(scenario, out_dir):
     """Compute and write one table per scenario point; returns written paths.
 
     A run of consecutive points with equal ATOMIC_KEYS values shares one
-    Atoms, dropped before the next run's is built.
+    `solve_atoms`, dropped before the next run's is solved.
     """
     written = []
-    key = atoms = None
+    key = atoms = qrt = None
     for label, value, point in scenario.points():
         try:
             point_key = tuple(getattr(point, k) for k in ATOMIC_KEYS)
             if point_key != key:
-                atoms = None  # free the previous run's arrays first
-                atoms, key = Atoms(point), point_key
-            columns, metadata = compute_point(point, atoms)
+                atoms = qrt = None  # free the previous run's arrays first
+                (atoms, qrt), key = solve_atoms(point), point_key
+            columns, metadata = compute_point(point, atoms, qrt)
         except (*PHYSICS_ERRORS, MemoryError) as exc:
             exc.args = (f"scenario point '{label}': {exc}",)
             raise

@@ -301,7 +301,7 @@ def validate_scenario(scenario):
         labelled[label] = value
         (scheme, *_), point_errors = point_inputs(point)
         errors.extend(point_errors)
-        _check_ranges(point, scheme, warnings)
+        _check_ranges(point, scheme, warnings, errors)
 
     errors.extend(scenario.grid.problems())
 
@@ -337,10 +337,17 @@ def point_inputs(point):
     return tuple(inputs), errors
 
 
-def _check_ranges(point, scheme, warnings):
-    """Append the range warnings of one effective scenario point."""
+def _check_ranges(point, scheme, warnings, errors):
+    """Append the range warnings and errors of one effective scenario point."""
     if point.rabi == 0:
         warnings.append("drive.rabi is 0: the field is undriven vacuum")
+        if point.b0 > 0:
+            errors.append(
+                "drive.rabi must be > 0 when medium.b0 > 0: the carrier "
+                "update is undefined at zero Rabi frequency"
+            )
+        elif "mollow" in point.oracles and point.polarization == "circular":
+            errors.append("drive.rabi must be > 0 for the mollow oracle")
     if point.b0 > 0.5:
         warnings.append(
             f"medium.b0 = {point.b0} exceeds the dilute/thin-sample "

@@ -54,17 +54,68 @@ def test_cli_import_leaves_peak_analysis_unloaded():
     assert done.returncode == 0, done.stderr
 
 
-def test_traced_names_resolve_to_callables():
-    """Every (module, name) the bench tracer wraps exists and is callable."""
+def _traced_names():
+    """The bench tracer's WRAPPED table: module name -> wrapped names."""
     tree = ast.parse((ROOT / "perfbench" / "trace_cli.py").read_text())
-    wrapped = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"]
     )
+
+
+def test_traced_names_resolve_to_callables():
+    """Every (module, name) the bench tracer wraps exists and is callable."""
+    wrapped = _traced_names()
     assert wrapped
     for module_name, names in wrapped.items():
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+POINT = """
+[transition]
+fg = 1
+fe = 2
+
+[drive]
+polarization = circular
+rabi = 1.0
+
+[medium]
+b0 = 0.1
+
+[grid]
+omega_min = 0.1
+omega_max = 2.0
+count = 3
+
+[output]
+oracles = qrt mollow
+"""
+
+
+def test_traced_runner_and_cli_names_are_called(tmp_path, monkeypatch):
+    """`zeenoise run` on one point calls every runner and cli name the bench
+    tracer wraps, so no per-layer metric silently reads zero."""
+    from zeenoise.cli import main
+
+    calls = {}
+    for module_name in ("zeenoise.runner", "zeenoise.cli"):
+        module = importlib.import_module(module_name)
+        for name in _traced_names()[module_name]:
+            key = f"{module_name}.{name}"
+            calls[key] = 0
+
+            def counting(*args, _original=getattr(module, name), _key=key, **kw):
+                calls[_key] += 1
+                return _original(*args, **kw)
+
+            monkeypatch.setattr(module, name, counting)
+    scn = tmp_path / "point.ini"
+    scn.write_text(POINT)
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 13
+    assert [key for key, count in calls.items() if count == 0] == []

@@ -22,8 +22,8 @@ from zeenoise import (
 from zeenoise.conventions import vec
 from zeenoise.errors import PHYSICS_ERRORS
 from zeenoise.oracles import two_level_reference
-from zeenoise.propagation import atomic_correlations, atomic_response
-from zeenoise.runner import Atoms, compute_point, run_scenario
+from zeenoise.propagation import Atoms, atomic_response
+from zeenoise.runner import compute_point, run_scenario, solve_atoms
 from zeenoise.scenario import GridSpec, Scenario, SweepSpec
 
 GRID = np.array([1e-3, 0.1, 0.7, 3.0, 12.0])
@@ -39,24 +39,18 @@ def system(mode, rabi, detuning=0.0, gamma=1.0):
     return scheme, liou, steady, diff
 
 
-def run(mode, rabi, detuning=0.0, b0=0.1, input_matrix=None, grid=GRID, **kw):
+def run(mode, rabi, detuning=0.0, b0=0.1, input_matrix=None, grid=GRID):
     scheme, liou, steady, diff = system(mode, rabi, detuning)
     if input_matrix is None:
         input_matrix = excess_noise_input(0.0, 0.0)
-    out = propagate(
-        input_matrix, MediumParams(b0), liou, steady, grid,
-        atomic_correlations(liou, diff, grid), **kw
-    )
-    return out
+    atoms = Atoms(liou, steady, diff, grid)
+    return propagate(input_matrix, MediumParams(b0), atoms)
 
 
 def phi(liou, diff, steady, b0):
     """Dephasing angle of the driven component after the medium."""
-    out = propagate(
-        excess_noise_input(0.0, 0.0), MediumParams(b0), liou, steady, [1.0],
-        atomic_correlations(liou, diff, [1.0]),
-    )
-    return out.phi[1]
+    atoms = Atoms(liou, steady, diff, [1.0])
+    return propagate(excess_noise_input(0.0, 0.0), MediumParams(b0), atoms).phi[1]
 
 
 def test_medium_params_validation():
@@ -68,14 +62,7 @@ def test_medium_params_validation():
 def test_empty_grid_rejected():
     scheme, liou, steady, diff = system("linear", 1.0)
     with pytest.raises(ArgumentError):
-        propagate(
-            excess_noise_input(0.0, 0.0),
-            MediumParams(0.1),
-            liou,
-            steady,
-            np.array([]),
-            {},
-        )
+        Atoms(liou, steady, diff, np.array([]))
 
 
 def test_zero_density_is_identity():
@@ -182,7 +169,7 @@ def resolvent_calls(monkeypatch, grid):
         name="count", fg=1, fe=2, gamma=1.0, polarization="linear",
         rabi=1.0, detuning=0.0, b0=0.1, grid=grid,
     )
-    compute_point(scenario, Atoms(scenario))
+    compute_point(scenario, *solve_atoms(scenario))
     omegas = grid.build()
     assert np.array_equal(
         sorted(calls), np.unique(np.concatenate([omegas, -omegas]))
@@ -255,11 +242,61 @@ def test_compute_point_is_finite_or_raises_physics_error(
         quadrature_theta=theta,
     )
     try:
-        columns, _ = compute_point(scenario, Atoms(scenario))
+        columns, _ = compute_point(scenario, *solve_atoms(scenario))
     except PHYSICS_ERRORS:
         return
     for name, column in columns.items():
         assert column is None or np.all(np.isfinite(column)), name
+
+
+SIGNED_GRID = np.array([-1.5, 0.2, 3.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    polarization=st.sampled_from(["circular", "linear"]),
+    f_pair=st.sampled_from([(0.5, 1.5), (1, 2), (2, 3)]),
+    rabi=st.floats(0.05, 5.0),
+    detuning=st.floats(-3.0, 3.0),
+    b0=st.one_of(st.just(0.0), st.floats(1e-9, 0.5)),  # k2 stays normal
+    eps_a=st.floats(0.0, 100.0),
+    eps_p=st.floats(0.0, 100.0),
+)
+def test_output_keeps_the_field_invariants(
+    polarization, f_pair, rabi, detuning, b0, eps_a, eps_p
+):
+    """S21 = conj S12, real diagonals, the input's S11 - S22 (the
+    commutator), identity at b0 = 0 and an atomic term linear in b0, for
+    both components."""
+    scheme = LevelScheme(*f_pair)
+    drive = DriveConfig(PolarizationMode(polarization), rabi, detuning)
+    liou = build_generator(scheme, drive)
+    rho = steady_state(liou)
+    atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), SIGNED_GRID)
+    inp = excess_noise_input(eps_a, eps_p)
+    inputs = {1: inp, 2: excess_noise_input(0.0, 0.0)}
+    out = propagate(inp, MediumParams(b0), atoms)
+    doubled = propagate(inp, MediumParams(2 * b0), atoms)
+    empty = propagate(inp, MediumParams(0.0), atoms)
+    keys = ("s11", "s12", "s21", "s22")
+    for comp in (1, 2):
+        spectra, atomic, given = out.spectra[comp], out.atomic[comp], inputs[comp]
+        scale = max(np.abs(getattr(atomic, key)).max() for key in keys)
+        tol = 1e-12 * scale + 1e-14 * given.s11.real
+        assert np.abs(spectra.s21 - spectra.s12.conj()).max() <= tol
+        assert np.abs(spectra.s11.imag).max() <= tol
+        assert np.abs(spectra.s22.imag).max() <= tol
+        commutator = spectra.s11 - spectra.s22
+        assert np.abs(commutator - (given.s11 - given.s22)).max() <= tol
+        for key in keys:
+            assert np.all(getattr(empty.spectra[comp], key) == getattr(given, key))
+            assert np.allclose(
+                getattr(doubled.atomic[comp], key),
+                2 * getattr(atomic, key),
+                rtol=1e-14, atol=0.0,
+            ), key
+    assert empty.carrier[1] == 1.0 and empty.phi[1] == 0.0
+    assert empty.carrier[2] == 0.0 and empty.phi[2] == 0.0
 
 
 @pytest.mark.parametrize("mode", ["circular", "linear"])
@@ -372,10 +409,7 @@ def test_dilation_invariance_end_to_end():
     scaled = propagate(
         excess_noise_input(0.0, 0.0),
         MediumParams(0.2),
-        liou,
-        steady,
-        s * GRID,
-        atomic_correlations(liou, diff, s * GRID),
+        Atoms(liou, steady, diff, s * GRID),
     )
     for comp in (1, 2):
         assert np.allclose(

@@ -24,10 +24,9 @@ from zeenoise import (
     steady_state,
     validate_scenario,
 )
-import zeenoise.propagation
 from zeenoise import runner
 from zeenoise.cli import PRESET_GROUPS, main
-from zeenoise.propagation import atomic_correlations
+from zeenoise.propagation import Atoms
 from zeenoise.scenario import GridSpec, point_inputs
 
 GOOD = """
@@ -518,6 +517,15 @@ oracles = qrt mollow
 """
 
 
+ZERO_RABI = (
+    "fg = 1\nfe = 2\n\n[drive]\npolarization = circular\nrabi = 1.0\n\n"
+    "[medium]\nb0 = 0.1"
+)
+ZERO_RABI_TLS = ZERO_RABI.replace("fg = 1\nfe = 2", "fg = 0\nfe = 1").replace(
+    "rabi = 1.0", "rabi = 0"
+)
+
+
 def assert_rejected(scn, out, capsys):
     """`validate` and `run` both exit 2 with one stderr and write nothing;
     returns that stderr."""
@@ -598,7 +606,9 @@ class TestCli:
         assert "b0" in assert_rejected(scn, tmp_path / "results", capsys)
 
     def test_degenerate_point_exits_3_and_names_point(self, tmp_path, capsys):
-        text = NOSWEEP.replace("rabi = 1.0", "rabi = 0")
+        text = NOSWEEP.replace("rabi = 1.0", "rabi = 0").replace(
+            "b0 = 0.1", "b0 = 0"
+        ).replace("oracles = qrt mollow", "oracles = qrt")
         scn = write(tmp_path, text, name="undriven.ini")
         rc = main(["run", str(scn), "--out", str(tmp_path / "o")])
         assert rc == 3
@@ -659,10 +669,8 @@ class TestCli:
         liou = build_generator(scheme, drive)
         rho = steady_state(liou)
         grid = scenario.grid.build()
-        field = propagate(
-            input_matrix, medium, liou, rho, grid,
-            atomic_correlations(liou, diffusion_matrix(liou, rho), grid),
-        )
+        atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), grid)
+        field = propagate(input_matrix, medium, atoms)
         for comp in (1, 2):
             expected = quadrature_noise(field.spectra[comp], 0.3).values
             assert np.array_equal(table[:, header.index(f"s_x_e{comp}")], expected)
@@ -708,10 +716,14 @@ class TestCli:
     def test_non_finite_sidecar_value_exits_3_and_names_it(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(
-            zeenoise.propagation, "_carrier_susceptibility",
-            lambda *args: complex("nan"),
-        )
+        original = runner.propagate
+
+        def dephased(*args):
+            out = original(*args)
+            out.carrier[1] = complex("nan")
+            return out
+
+        monkeypatch.setattr(runner, "propagate", dephased)
         scn = write(tmp_path, NOSWEEP, name="dephased.ini")
         out = tmp_path / "results"
         assert main(["run", str(scn), "--out", str(out)]) == 3
@@ -757,8 +769,14 @@ class TestCli:
         ("fg = 1\nfe = 2", "fg = 40\nfe = 41", "transition: fg must be <= 10, got 40"),
         ("count = 5", "count = 5\nsymmetrize = maybe",
          "[grid] symmetrize: expected a boolean"),
+        (ZERO_RABI, ZERO_RABI_TLS, "drive.rabi must be > 0 when medium.b0 > 0"),
+        (ZERO_RABI, ZERO_RABI_TLS.replace("circular", "linear"),
+         "drive.rabi must be > 0 when medium.b0 > 0"),
+        (ZERO_RABI, ZERO_RABI_TLS.replace("b0 = 0.1", "b0 = 0"),
+         "drive.rabi must be > 0 for the mollow oracle"),
     ], ids=[
         "duplicate_oracle", "grid_span_overflow", "f_above_cap", "symmetrize_maybe",
+        "zero_rabi_circular", "zero_rabi_linear", "zero_rabi_mollow",
     ])
     def test_rejected_input_exits_2_without_output(
         self, tmp_path, capsys, monkeypatch, old, new, message
@@ -848,17 +866,27 @@ def swept(parameter, values):
 def test_sweep_builds_one_generator_per_transition_and_drive(
     tmp_path, monkeypatch, parameter, values, builds
 ):
-    built = []
-    original = runner.build_generator
+    """One generator, and one dipole operator and one QRT solve per
+    component, for each group of points with equal [transition] and [drive]
+    values."""
+    calls = {"build_generator": [], "qrt_spectrum": [], "operator": []}
+    for owner, name in (
+        (runner, "build_generator"), (runner, "qrt_spectrum"),
+        (PolarizationMode, "operator"),
+    ):
+        def counting(*args, _original=getattr(owner, name), _record=calls[name]):
+            _record.append(args)
+            return _original(*args)
 
-    def counting(scheme, drive):
-        built.append(drive)
-        return original(scheme, drive)
-
-    monkeypatch.setattr(runner, "build_generator", counting)
-    scenario = load_scenario(write(tmp_path, swept(parameter, values)))
+        monkeypatch.setattr(owner, name, counting)
+    text = swept(parameter, values)
+    assert "oracles = qrt\n" in text
+    scenario = load_scenario(write(tmp_path, text))
     assert len(runner.run_scenario(scenario, tmp_path / "out")) == 2 * len(values)
-    assert len(built) == builds
+    assert len(calls["build_generator"]) == builds
+    assert len(calls["qrt_spectrum"]) == 2 * builds
+    # the Hamiltonian's driven operator, then each component's for the Atoms
+    assert len(calls["operator"]) == 3 * builds
 
 
 def test_b0_sweep_writes_the_tables_of_one_scenario_per_value(tmp_path):
