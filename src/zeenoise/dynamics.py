@@ -115,8 +115,8 @@ def steady_state(liouvillian):
     vector of the generator, returned as an n x n complex array.
 
     Raises DegenerateSteadyStateError when the null space has dimension
-    other than one (for example Omega1 = 0, where ground coherences and
-    populations are all stationary).
+    other than one (for example Omega1 = 0, or a detuning so far that the
+    optical-pumping rates fall below the relative singular-value cutoff).
     """
     g = liouvillian.generator
     n = liouvillian.n
@@ -124,7 +124,7 @@ def steady_state(liouvillian):
     scale = svals[0] if svals[0] > 0 else 1.0
     null_dim = int(np.sum(svals < _NULL_SPACE_CUTOFF * scale))
     if null_dim != 1:
-        raise DegenerateSteadyStateError(null_dim)
+        raise DegenerateSteadyStateError(null_dim, _NULL_SPACE_CUTOFF)
 
     trace_row = vec(np.eye(n)).reshape(1, -1)
     stacked = np.vstack([g, trace_row])

@@ -12,11 +12,12 @@ class ArgumentError(ZeenoiseError, ValueError):
 class DegenerateSteadyStateError(ZeenoiseError):
     """The generator has a null space of dimension > 1 (no unique steady state)."""
 
-    def __init__(self, dimension):
+    def __init__(self, dimension, cutoff):
         self.dimension = dimension
         super().__init__(
             f"steady state is not unique: generator null space has "
-            f"dimension {dimension} (undriven or dark-state degeneracy)"
+            f"dimension {dimension} at relative singular-value cutoff {cutoff:g} "
+            f"(undriven, dark-state degeneracy, or optical pumping below the cutoff)"
         )
 
 

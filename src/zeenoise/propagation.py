@@ -11,8 +11,13 @@ projection a^T C(Omega) b. None of this depends on b0 or on the input
 noise, so an `Atoms` holds it for one transition, drive and grid: it takes
 the generator, the steady state and 2D, builds the dipole operators of
 both polarization components once, and solves its `correlations` on first
-use, inverting each resolvent R(+-|Omega|) once per distinct |Omega| of
-the grid (the pair feeds both C(+|Omega|) and C(-|Omega|)). `propagate`
+use. It inverts each resolvent R(+-|Omega|) in full once per distinct
+|Omega| of the grid (the pair feeds both C(+|Omega|) and C(-|Omega|)) but
+forms only the rows of C where a vectorized dipole operator is nonzero
+(114 of 1600 at F=9->10 linear), each the same BLAS row of (R . 2D) . R^T
+as in the full product, so no output bit moves. Restricting the columns
+or the inversions, or reordering the product, changes bits, and the latter
+two push fig2's lowest-Omega rows past the 1e-10 reference gate. `propagate`
 then makes one output field from an `Atoms` per b0 and input matrix, and
 reads the correlations only at b0 > 0. The mean field is taken
 z-independent across the (optically thin) sample and back-action of field
@@ -123,7 +128,8 @@ class Atoms:
         """Component -> [dg C(-Omega) lo, lo C(Omega) lo, dg C(Omega) dg,
         dg C(Omega) lo] as complex arrays over the grid, where lo and dg are
         the vectorized dipole lowering operator and its adjoint; `propagate`
-        scales them into S11, S12, S21 and S22."""
+        scales them into S11, S12, S21 and S22. Rows of C(+-Omega) off the
+        dipole support stay 0: they meet only zero coefficients."""
         grid = self.grid
         drift = self.liouvillian.drift
         two_d = self.two_d
@@ -135,13 +141,18 @@ class Atoms:
             for c in proj
         }
 
+        support = np.flatnonzero(sum(abs(v) for pair in proj.values() for v in pair))
+        c_pos = np.zeros(two_d.shape, dtype=complex)  # off-support rows stay 0
+        c_neg = np.zeros(two_d.shape, dtype=complex)
         indices = {}   # |Omega| -> grid indices, grouped in one pass
         for i, w in enumerate(np.abs(grid).tolist()):
             indices.setdefault(w, []).append(i)
         for w in sorted(indices):
-            r_plus = _resolvent(drift, w)
-            r_minus = _resolvent(drift, -w)
-            kernel = {w: r_plus @ two_d @ r_minus.T, -w: r_minus @ two_d @ r_plus.T}
+            r_plus, r_minus = _resolvent(drift, w), _resolvent(drift, -w)
+            c_pos[support] = r_plus[support] @ two_d @ r_minus.T
+            c_neg[support] = r_minus[support] @ two_d @ r_plus.T
+            del r_plus, r_minus  # freed before the next |Omega| inverts its pair
+            kernel = {w: c_pos, -w: c_neg}
             for i in indices[w]:
                 c_plus = kernel[grid[i]]
                 c_minus = kernel[-grid[i]]

@@ -329,6 +329,40 @@ def test_atomic_term_is_bit_identical_to_per_omega_kernels(mode, grid):
             assert np.array_equal(getattr(at, key), values), (comp, key)
 
 
+@pytest.mark.parametrize("mode", ["circular", "linear"])
+@pytest.mark.parametrize("fg, fe", [(2, 3), (4, 5)], ids=str)
+def test_support_rows_are_bit_identical_at_larger_f(fg, fe, mode):
+    """The dipole supports here (20 and 30 of 144 rows, 36 and 54 of 400)
+    include sizes off the BLAS tile; forming only those rows of C(+-Omega)
+    still changes no bit of the atomic term against full atomic_response
+    kernels, one per signed grid point."""
+    b0, grid = 0.2, np.array([0.5, -0.5, 2.0])
+    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.0)
+    drive = DriveConfig(basis=PolarizationMode(mode), rabi=1.0, detuning=0.4)
+    liou = build_generator(scheme, drive)
+    rho = steady_state(liou)
+    two_d = diffusion_matrix(liou, rho)
+    out = propagate(
+        excess_noise_input(0.0, 0.0), MediumParams(b0), Atoms(liou, rho, two_d, grid)
+    )
+    k2 = 0.25 * b0 * scheme.gamma
+    kernels = [
+        (atomic_response(liou, two_d, w)[1], atomic_response(liou, two_d, -w)[1])
+        for w in grid
+    ]
+    for comp in (1, 2):
+        op = drive.basis.operator(scheme, comp)
+        lo, dg = vec(op), vec(op.conj().T)
+        expected = {
+            "s11": [k2 * (dg @ c_minus @ lo) for _, c_minus in kernels],
+            "s12": [-k2 * (lo @ c_plus @ lo) for c_plus, _ in kernels],
+            "s21": [-k2 * (dg @ c_plus @ dg) for c_plus, _ in kernels],
+            "s22": [k2 * (dg @ c_plus @ lo) for c_plus, _ in kernels],
+        }
+        for key, values in expected.items():
+            assert np.array_equal(getattr(out.atomic[comp], key), values), (comp, key)
+
+
 def test_even_in_frequency_on_resonance():
     grid = np.array([0.2, 1.0, 4.0])
     out1 = run("linear", 1.0, 0.0, b0=0.2, grid=grid)

@@ -615,6 +615,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "undriven" in err
 
+    @pytest.mark.parametrize("polarization", ["circular", "linear"])
+    @pytest.mark.parametrize("detuning", ["1000", "1e170"])
+    def test_far_detuned_point_exits_3_and_names_the_cutoff(
+        self, tmp_path, capsys, polarization, detuning
+    ):
+        """Far off resonance the optical-pumping rates fall below the
+        relative singular-value cutoff, so the null space looks degenerate
+        although the drive is on; the message says so."""
+        text = NOSWEEP.replace(
+            "rabi = 1.0", f"rabi = 1.0\ndetuning = {detuning}"
+        ).replace("circular", polarization).replace("qrt mollow", "qrt")
+        scn = write(tmp_path, text, name="far.ini")
+        assert main(["validate", str(scn)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(scn), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "scenario point 'far'" in err
+        assert "relative singular-value cutoff 1e-09" in err
+        assert "optical pumping below the cutoff" in err
+
     def test_vanishing_carrier_exits_3_and_names_point(self, tmp_path, capsys):
         text = NOSWEEP.replace("rabi = 1.0", "rabi = 0.1").replace(
             "b0 = 0.1", "b0 = 1e5"
