@@ -49,12 +49,10 @@ def mollow_spectrum(omega, rabi, detuning=0.0, gamma=1.0):
         [p - s_plus * s_minus, -s_plus**2, -s_plus * p], dtype=complex
     )
     eye = np.eye(3)
-    out = np.empty(omega.shape, dtype=float)
-    for i, w in enumerate(omega):
-        forward = np.linalg.solve(-1j * w * eye - a, g0)[1]
-        backward = np.linalg.solve(1j * w * eye - a, h0)[0]
-        out[i] = (forward + backward).real
-    return out
+    w = omega[..., None, None]  # one 3x3 system per entry, solved as a stack
+    forward = np.linalg.solve(-1j * w * eye - a, g0[:, None])[..., 1, 0]
+    backward = np.linalg.solve(1j * w * eye - a, h0[:, None])[..., 0, 0]
+    return (forward + backward).real
 
 
 def qrt_spectrum(liouvillian, rho, a_op, b_op, omega):

@@ -14,12 +14,13 @@ alone.
 
 Only the transition and the drive fix the atomic part of a point: the
 generator, the steady state and the diffusion matrix, which make one
-`propagation.Atoms` on the scenario's grid, and the QRT spectra of the
-qrt oracle. `run_scenario` solves that part once for each run of
-consecutive points with equal [transition] and [drive] values, so a b0 or
-eps_p sweep solves the atoms once. Each point then hands the shared Atoms
-to `propagate` with its own b0 and input matrix. The pipeline is
-deterministic, with no randomness anywhere, so reruns are bit-identical.
+`propagation.Atoms` on the scenario's grid, and the oracle columns.
+`run_scenario` solves that part once for each run of consecutive points
+with equal [transition] and [drive] values, so a b0 or eps_p sweep solves
+it once. Each point then hands the shared Atoms to `propagate` with its
+own b0 and input matrix, and scales the oracle columns by b0 gamma / 4.
+The pipeline is deterministic, with no randomness anywhere, so reruns are
+bit-identical.
 """
 
 from dataclasses import asdict
@@ -67,34 +68,40 @@ def _require_finite(kind, values):
 
 
 def solve_atoms(point):
-    """(Atoms, QRT spectra) of a point, shared by every point with the
+    """(Atoms, oracle columns) of a point, shared by every point with the
     same ATOMIC_KEYS values.
 
-    The QRT spectra map each component to its one-sided regression spectrum
-    over |grid|, and are None unless the point asks for the qrt oracle.
+    The oracle columns map each column name, in [output] oracles order, to
+    its values on |grid| per unit of b0 gamma / 4: `qrt_opt_eC` is 2 Re of
+    component C's regression spectrum, and `mollow_opt_e1` the two-level
+    Mollow spectrum, or None (an empty column) for linear drive.
     """
     scheme, drive, _, _ = _inputs(point)
     liou = build_generator(scheme, drive)
     rho = steady_state(liou)
     atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), point.grid.build())
-    qrt = None
-    if "qrt" in point.oracles:
-        wabs = np.abs(atoms.grid)
-        qrt = {
-            c: qrt_spectrum(liou, rho, op.conj().T, op, wabs)
-            for c, op in atoms.operators.items()
-        }
-    return atoms, qrt
+    wabs = np.abs(atoms.grid)
+    oracles = {}
+    for oracle in point.oracles:
+        if oracle == "qrt":
+            for c, op in atoms.operators.items():
+                spectrum = qrt_spectrum(liou, rho, op.conj().T, op, wabs)
+                oracles[f"qrt_opt_e{c}"] = 2.0 * spectrum.real
+        else:
+            oracles["mollow_opt_e1"] = (
+                mollow_spectrum(wabs, point.rabi, point.detuning, point.gamma)
+                if point.polarization == "circular" else None
+            )
+    return atoms, oracles
 
 
-def compute_point(scenario, atoms, qrt):
+def compute_point(scenario, atoms, oracles):
     """(columns, metadata) of one effective scenario; a None column is empty.
 
-    `atoms` and `qrt` are the `solve_atoms` of a point with the same
-    ATOMIC_KEYS values.
+    `atoms` and `oracles` are the `solve_atoms` of a point with the same
+    ATOMIC_KEYS values; the oracle columns are scaled by b0 gamma / 4 here.
     """
     scheme, _, medium, input_matrix = _inputs(scenario)
-    grid = atoms.grid
     out = propagate(input_matrix, medium, atoms)
     sidecar = {
         "carrier_e1": [out.carrier[1].real, out.carrier[1].imag],
@@ -112,26 +119,15 @@ def compute_point(scenario, atoms, qrt):
         theta_source = "amplitude"
 
     columns = {
-        "omega_over_gamma": grid,
+        "omega_over_gamma": atoms.grid,
         "s_opt_e1": optical_spectrum(out.spectra[1]).values,
         "s_opt_e2": optical_spectrum(out.spectra[2]).values,
         "s_x_e1": quadrature_noise(out.spectra[1], theta).values,
         "s_x_e2": quadrature_noise(out.spectra[2], theta).values,
     }
-
     kappa2 = 0.25 * scenario.b0 * scheme.gamma
-    wabs = np.abs(grid)
-    for oracle in scenario.oracles:
-        if oracle == "qrt":
-            for comp, name in ((1, "qrt_opt_e1"), (2, "qrt_opt_e2")):
-                columns[name] = kappa2 * 2.0 * qrt[comp].real
-        elif oracle == "mollow":
-            if scenario.polarization == "circular":
-                columns["mollow_opt_e1"] = kappa2 * mollow_spectrum(
-                    wabs, scenario.rabi, scenario.detuning, scenario.gamma
-                )
-            else:
-                columns["mollow_opt_e1"] = None
+    for name, col in oracles.items():
+        columns[name] = None if col is None else kappa2 * col
     _require_finite("column", columns)
 
     metadata = {
@@ -179,14 +175,14 @@ def run_scenario(scenario, out_dir):
     `solve_atoms`, dropped before the next run's is solved.
     """
     written = []
-    key = atoms = qrt = None
+    key = atoms = oracles = None
     for label, value, point in scenario.points():
         try:
             point_key = tuple(getattr(point, k) for k in ATOMIC_KEYS)
             if point_key != key:
-                atoms = qrt = None  # free the previous run's arrays first
-                (atoms, qrt), key = solve_atoms(point), point_key
-            columns, metadata = compute_point(point, atoms, qrt)
+                atoms = oracles = None  # free the previous run's arrays first
+                (atoms, oracles), key = solve_atoms(point), point_key
+            columns, metadata = compute_point(point, atoms, oracles)
         except (*PHYSICS_ERRORS, MemoryError) as exc:
             exc.args = (f"scenario point '{label}': {exc}",)
             raise

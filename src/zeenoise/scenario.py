@@ -353,17 +353,21 @@ def _check_ranges(point, scheme, warnings, errors):
             f"medium.b0 = {point.b0} exceeds the dilute/thin-sample "
             "domain (b0 <= 0.5); results are extrapolations"
         )
+    if point.gamma == 0:
+        errors.append(
+            "transition.gamma must be > 0: without spontaneous decay the "
+            "steady state is not unique"
+        )
     if scheme is None:
         return
     # Ground sublevels the drive leaves uncoupled (dark to it).
     rows = PolarizationMode(point.polarization).operator(scheme, 1)[: scheme.n_ground]
     dark = int(np.sum(~rows.any(axis=1)))
     if dark:
-        warnings.append(
+        (warnings if dark == 1 else errors).append(
             f"transition: {dark} ground sublevel(s) dark to the "
             f"{point.polarization} drive: " + (
                 "the atoms are pumped into it and the spectra are round-off"
-                if dark == 1
-                else "the steady state is not unique and the run exits 3"
+                if dark == 1 else "the steady state is not unique"
             )
         )

@@ -12,13 +12,51 @@ from zeenoise import (
     steady_state,
 )
 from zeenoise.conventions import unvec, vec
-from zeenoise.oracles import mollow_spectrum, qrt_spectrum, two_level_reference
+from zeenoise.oracles import (
+    _bloch_matrix,
+    mollow_spectrum,
+    qrt_spectrum,
+    two_level_reference,
+)
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 CIRC = PolarizationMode.CIRCULAR
 
 
+def mollow_per_entry(omega, rabi, detuning=0.0, gamma=1.0):
+    """mollow_spectrum as one pair of 3x3 solves per frequency."""
+    a = _bloch_matrix(rabi, detuning, gamma)
+    b = np.array([1j * rabi / 2, -1j * rabi / 2, 0.0], dtype=complex)
+    s_minus, s_plus, p = np.linalg.solve(a, -b)
+    g0 = np.array(
+        [-s_minus**2, p - s_plus * s_minus, -p * s_minus], dtype=complex
+    )
+    h0 = np.array(
+        [p - s_plus * s_minus, -s_plus**2, -s_plus * p], dtype=complex
+    )
+    eye = np.eye(3)
+    out = np.empty(omega.shape, dtype=float)
+    for i, w in enumerate(omega):
+        forward = np.linalg.solve(-1j * w * eye - a, g0)[1]
+        backward = np.linalg.solve(1j * w * eye - a, h0)[0]
+        out[i] = (forward + backward).real
+    return out
+
+
 class TestMollowSpectrum:
+    def test_stacked_solve_equals_per_entry_solves(self):
+        """Bit for bit, on grids with negative, repeated and single Omega."""
+        rng = np.random.default_rng(15)
+        grids = [np.array([0.7]), np.array([-2.5]), np.array([1.0, 1.0, -1.0])]
+        for _ in range(40):
+            w = rng.normal(scale=10.0, size=rng.integers(1, 60))
+            grids.append(np.concatenate((w, w[: rng.integers(0, len(w) + 1)])))
+        for w in grids:
+            rabi, gamma = rng.uniform(0.05, 20.0), rng.uniform(0.1, 3.0)
+            for det in (rng.uniform(0.1, 5.0), 0.0, -rng.uniform(0.1, 5.0)):
+                got = mollow_spectrum(w, rabi, det, gamma)
+                assert np.array_equal(got, mollow_per_entry(w, rabi, det, gamma))
+
     def test_strong_drive_triplet_ratio(self):
         """Central peak to sideband height ratio approaches 3:1."""
         rabi = 20.0

@@ -319,28 +319,40 @@ class TestValidation:
         (1, 1, "linear", 1, 0),
         (2, 2, "circular", 1, 0),
         (1.5, 1.5, "circular", 1, 0),
-        (1, 0, "linear", 2, 3),
-        (2, 1, "circular", 2, 3),
-        (1.5, 0.5, "linear", 2, 3),
+        (1, 0, "linear", 2, 2),
+        (2, 1, "circular", 2, 2),
+        (1.5, 0.5, "linear", 2, 2),
     ])
     def test_dark_ground_sublevels_warn(
-        self, tmp_path, fg, fe, polarization, dark, exit_code
+        self, tmp_path, monkeypatch, fg, fe, polarization, dark, exit_code
     ):
+        """One dark sublevel is a warning; two leave no unique steady state,
+        so they are an error and nothing is built."""
         text = NOSWEEP.replace("fg = 1\nfe = 2", f"fg = {fg}\nfe = {fe}").replace(
             "polarization = circular", f"polarization = {polarization}"
         ).replace("oracles = qrt mollow", "oracles = qrt")
         scn = write(tmp_path, text)
         warnings, errors = validate_scenario(load_scenario(scn))
-        assert errors == []
+        prefix = f"transition: {dark} ground sublevel(s) dark to the {polarization}"
         if dark == 0:
-            assert warnings == []
-        else:
+            assert (warnings, errors) == ([], [])
+        elif dark == 1:
             [warning] = warnings
-            assert warning.startswith(
-                f"transition: {dark} ground sublevel(s) dark to the {polarization}"
-            )
-            assert ("round-off" if dark == 1 else "exits 3") in warning
-        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == exit_code
+            assert errors == []
+            assert warning.startswith(prefix) and "round-off" in warning
+        else:
+            [error] = errors
+            assert warnings == []
+            assert error.startswith(prefix) and "not unique" in error
+
+            def no_build(*args):
+                raise AssertionError("build_generator was called")
+
+            monkeypatch.setattr(runner, "build_generator", no_build)
+        out = tmp_path / "out"
+        assert main(["validate", str(scn)]) == exit_code
+        assert main(["run", str(scn), "--out", str(out)]) == exit_code
+        assert out.exists() == (exit_code == 0)
 
     def test_range_errors_are_the_constructors_own(self, tmp_path):
         s = self.base(
@@ -794,9 +806,11 @@ class TestCli:
          "drive.rabi must be > 0 when medium.b0 > 0"),
         (ZERO_RABI, ZERO_RABI_TLS.replace("b0 = 0.1", "b0 = 0"),
          "drive.rabi must be > 0 for the mollow oracle"),
+        ("fg = 1\nfe = 2", "fg = 1\nfe = 2\ngamma = 0",
+         "transition.gamma must be > 0"),
     ], ids=[
         "duplicate_oracle", "grid_span_overflow", "f_above_cap", "symmetrize_maybe",
-        "zero_rabi_circular", "zero_rabi_linear", "zero_rabi_mollow",
+        "zero_rabi_circular", "zero_rabi_linear", "zero_rabi_mollow", "zero_gamma",
     ])
     def test_rejected_input_exits_2_without_output(
         self, tmp_path, capsys, monkeypatch, old, new, message
@@ -909,13 +923,25 @@ def test_sweep_builds_one_generator_per_transition_and_drive(
     assert len(calls["operator"]) == 3 * builds
 
 
-def test_b0_sweep_writes_the_tables_of_one_scenario_per_value(tmp_path):
-    """Sharing the atoms across a b0 sweep moves no byte of any table."""
+def test_b0_sweep_writes_the_tables_of_one_scenario_per_value(
+    tmp_path, monkeypatch
+):
+    """Sharing the atoms and the oracles across a b0 sweep moves no byte of
+    any table, and solves the Mollow spectrum once."""
     values = (0, 0.05, 0.3)
     text = swept("b0", values).replace(
         "polarization = linear", "polarization = circular"
     ).replace("oracles = qrt", "oracles = qrt mollow")
-    runner.run_scenario(load_scenario(write(tmp_path, text)), tmp_path / "swept")
+    calls = []
+
+    def counting(*args, _original=runner.mollow_spectrum):
+        calls.append(args)
+        return _original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "mollow_spectrum", counting)
+        runner.run_scenario(load_scenario(write(tmp_path, text)), tmp_path / "swept")
+    assert len(calls) == 1
     sweep_section = f"[sweep]\nparameter = b0\nvalues = {' '.join(map(str, values))}\n"
     assert sweep_section in text
     for value in values:
