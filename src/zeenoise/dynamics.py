@@ -110,6 +110,22 @@ def build_generator(scheme, drive):
     return Liouvillian(generator=g, drift=m, scheme=scheme, drive=drive)
 
 
+def coherence_blocks(scheme, polarization):
+    """Coherence-order label m_a - m_b of every vec index a + n*b.
+
+    For CIRCULAR drive each excited m is shifted by -1 first, so the driven
+    sigma+ coupling joins equal labels. G and M have no entry between two
+    different labels, so each label indexes one diagonal block of both; a
+    block may still split into several connected components.
+    """
+    m = np.array(
+        [*scheme.ground_m_values(), *scheme.excited_m_values()], dtype=float
+    )
+    if polarization is PolarizationMode.CIRCULAR:
+        m[scheme.n_ground:] -= 1
+    return vec(np.subtract.outer(m, m)).round().astype(int)
+
+
 def steady_state(liouvillian):
     """Steady-state density matrix rho: the unique trace-1 Hermitian null
     vector of the generator, returned as an n x n complex array.

@@ -41,7 +41,7 @@ from .observables import (
 )
 from .oracles import mollow_spectrum, qrt_spectrum
 from .propagation import Atoms, propagate
-from .scenario import KEYS, PARAMETERS, point_inputs
+from .scenario import KEYS, PARAMETERS, mollow_applies, point_inputs
 
 OUTPUT_DIR_ENV = "ZEENOISE_OUT"
 DEFAULT_OUTPUT_DIR = "zeenoise-out"
@@ -74,7 +74,7 @@ def solve_atoms(point):
     The oracle columns map each column name, in [output] oracles order, to
     its values on |grid| per unit of b0 gamma / 4: `qrt_opt_eC` is 2 Re of
     component C's regression spectrum, and `mollow_opt_e1` the two-level
-    Mollow spectrum, or None (an empty column) for linear drive.
+    Mollow spectrum, or None (an empty column) unless `mollow_applies`.
     """
     scheme, drive, _, _ = _inputs(point)
     liou = build_generator(scheme, drive)
@@ -90,7 +90,7 @@ def solve_atoms(point):
         else:
             oracles["mollow_opt_e1"] = (
                 mollow_spectrum(wabs, point.rabi, point.detuning, point.gamma)
-                if point.polarization == "circular" else None
+                if mollow_applies(point) else None
             )
     return atoms, oracles
 

@@ -305,13 +305,20 @@ def validate_scenario(scenario):
 
     errors.extend(scenario.grid.problems())
 
-    if "mollow" in scenario.oracles and scenario.polarization != "circular":
+    if "mollow" in scenario.oracles and not mollow_applies(scenario):
         warnings.append(
-            "mollow oracle applies to the circular (effective two-level) "
-            "drive; its column will be left empty for this scenario"
+            "mollow oracle applies to circular drive on fe = fg + 1 (an "
+            "effective two-level atom); its column will be left empty for "
+            "this scenario"
         )
 
     return list(dict.fromkeys(warnings)), list(dict.fromkeys(errors))
+
+
+def mollow_applies(point):
+    """Whether the two-level Mollow column is computed for a point: circular
+    drive on Fe = Fg + 1, which pumps the atoms into the stretched pair."""
+    return point.polarization == "circular" and point.fe == point.fg + 1
 
 
 def point_inputs(point):
@@ -346,7 +353,7 @@ def _check_ranges(point, scheme, warnings, errors):
                 "drive.rabi must be > 0 when medium.b0 > 0: the carrier "
                 "update is undefined at zero Rabi frequency"
             )
-        elif "mollow" in point.oracles and point.polarization == "circular":
+        elif "mollow" in point.oracles and mollow_applies(point):
             errors.append("drive.rabi must be > 0 for the mollow oracle")
     if point.b0 > 0.5:
         warnings.append(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 from zeenoise import (
     DegenerateSteadyStateError,
@@ -16,7 +17,7 @@ from zeenoise import (
 )
 from zeenoise.angular import dipole_component
 from zeenoise.conventions import expectation_vector, unvec, vec
-from zeenoise.dynamics import hamiltonian
+from zeenoise.dynamics import coherence_blocks, hamiltonian
 from zeenoise.oracles import two_level_reference
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
@@ -101,6 +102,36 @@ def test_broadcast_drift_equals_row_by_row_drift_bitwise(fg, fe, mode):
     drive = DriveConfig(basis=basis, rabi=0.7, detuning=0.3)
     drift = build_generator(scheme, drive).drift
     assert drift.tobytes() == drift_by_rows(scheme, drive).tobytes()
+
+
+@pytest.mark.parametrize("fg, fe, mode, labels, components", [
+    (0.5, 1.5, CIRC, 7, 9), (0.5, 1.5, LIN, 7, 9),
+    (1, 1, CIRC, 7, 9), (1, 1, LIN, 5, 9),
+    (1, 2, CIRC, 9, 11), (1, 2, LIN, 9, 11),
+    (2, 1, CIRC, 9, 11), (2, 1, LIN, 9, 11),
+    (1.5, 1.5, CIRC, 9, 9), (1.5, 1.5, LIN, 7, 7),
+    (2, 3, CIRC, 13, 15), (2, 3, LIN, 13, 15),
+    (4, 5, CIRC, 21, 23), (4, 5, LIN, 21, 23),
+], ids=lambda v: getattr(v, "value", str(v)))
+def test_generator_and_drift_are_block_diagonal_in_coherence_order(
+    fg, fe, mode, labels, components
+):
+    """G and M hold exact zeros between two coherence orders, so every
+    connected component of their nonzero pattern lies inside one label.
+    A label may hold several components (9 labels, 11 components at
+    F = 1->2), so the labels contain the components but need not equal them.
+    """
+    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.3)
+    liou = build_generator(scheme, DriveConfig(basis=mode, rabi=0.7, detuning=0.3))
+    label = coherence_blocks(scheme, mode)
+    across = label[:, None] != label[None, :]
+    assert np.all(liou.generator[across] == 0.0)
+    assert np.all(liou.drift[across] == 0.0)
+    count, component = connected_components(
+        (liou.generator != 0) | (liou.drift != 0), directed=False
+    )
+    assert all(len(np.unique(label[component == c])) == 1 for c in range(count))
+    assert (len(np.unique(label)), count) == (labels, components)
 
 
 class TestSteadyState:

@@ -1,7 +1,13 @@
 """Reference-result modules: Mollow spectrum, regression spectrum, closed forms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zeenoise import oracles
 
 from zeenoise import (
     ArgumentError,
@@ -12,6 +18,7 @@ from zeenoise import (
     steady_state,
 )
 from zeenoise.conventions import unvec, vec
+from zeenoise.dynamics import coherence_blocks
 from zeenoise.oracles import (
     _bloch_matrix,
     mollow_spectrum,
@@ -21,6 +28,7 @@ from zeenoise.oracles import (
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 CIRC = PolarizationMode.CIRCULAR
+BLOCK_PAIRS = [(0.5, 1.5), (1, 1), (1, 2), (2, 1), (1.5, 1.5), (2, 3), (4, 5)]
 
 
 def mollow_per_entry(omega, rabi, detuning=0.0, gamma=1.0):
@@ -129,6 +137,19 @@ class TestQrtSpectrum:
                 self.liou, self.steady, op.conj().T, op, np.array([0.0])
             )
 
+    def test_singular_stack_names_its_frequency_range(self, monkeypatch):
+        from zeenoise import NumericalError
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        op = CIRC.operator(SCHEME, 1)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalError, match=r"at an Omega in \[0.5, 2.0\]"):
+            qrt_spectrum(
+                self.liou, self.steady, op.conj().T, op, np.array([2.0, 0.5])
+            )
+
     def test_matches_mollow_oracle_on_stretched_pair(self):
         """Two independent routes to the same physics: the 64-dimensional
         regression solve against the hand-written 3-variable Bloch result."""
@@ -145,30 +166,32 @@ class TestQrtSpectrum:
 
     def test_each_distinct_frequency_is_solved_once(self, monkeypatch):
         """A grid with repeated, mixed-sign entries, taken as |Omega| the way
-        the runner passes it: one solve per distinct value, and every entry
-        bitwise equal to a per-entry solve loop."""
+        the runner passes it: the driven seed touches the Delta = 0 block
+        only, which is solved in one stack holding one row per distinct
+        value, and every entry agrees with the dense per-entry solve."""
         op = CIRC.operator(SCHEME, 1)
         rho = self.steady
         wabs = np.abs([2.0, -0.5, 1e-3, 0.5, 2.0, -2.0])
         seed = vec(op @ rho - np.trace(op @ rho) * rho)
         eye = np.eye(64)
-        expected = [
+        expected = np.array([
             np.trace(op.conj().T @ unvec(
                 np.linalg.solve(-1j * w * eye - self.liou.generator, seed)
             ))
             for w in wabs
-        ]
+        ])
         solved = []
         solve = np.linalg.solve
 
         def counting(a, b):
-            solved.append(a)
+            solved.append(a.shape)
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
         out = qrt_spectrum(self.liou, rho, op.conj().T, op, wabs)
-        assert len(solved) == len(np.unique(wabs)) == 3
-        assert np.array_equal(out, expected)
+        size = int(np.sum(coherence_blocks(SCHEME, CIRC) == 0))
+        assert solved == [(len(np.unique(wabs)), size, size)] == [(3, 14, 14)]
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_decays_at_large_frequency(self):
         op = CIRC.operator(SCHEME, 1)
@@ -176,6 +199,56 @@ class TestQrtSpectrum:
             self.liou, self.steady, op.conj().T, op, np.array([1e5])
         )
         assert abs(far[0]) < 1e-4
+
+
+@pytest.mark.parametrize("mode", list(PolarizationMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("fg, fe", BLOCK_PAIRS, ids=str)
+@settings(max_examples=3, deadline=None)
+@given(
+    rabi=st.floats(0.05, 5.0),
+    detuning=st.floats(-3.0, 3.0),
+    magnitudes=st.lists(st.floats(0.05, 20.0), min_size=6, max_size=8, unique=True),
+    chunk=st.integers(1, 5),
+    order_zero_rho=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_solve_matches_dense_regression_formula(
+    fg, fe, mode, rabi, detuning, magnitudes, chunk, order_zero_rho, seed
+):
+    """Both components of the block oracle agree with the dense formula
+    Tr(A unvec(solve(-i w I - G, seed))) within 1e-12 of the column maximum,
+    on a grid with repeated and mixed-sign entries. rho is a random density
+    matrix, kept whole (the seed touches every coherence order) or cut to
+    the Delta = 0 block as a steady state is (linear e2's seed then spans
+    Delta = +-1 only). _CHUNK is patched below the number of distinct
+    frequencies, so the stacks cross chunk boundaries on a grid short
+    enough for the dense reference at F = 4->5."""
+    scheme = LevelScheme(fg=fg, fe=fe)
+    liou = build_generator(
+        scheme, DriveConfig(basis=mode, rabi=rabi, detuning=detuning)
+    )
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(scheme.n,) * 2) + 1j * rng.normal(size=(scheme.n,) * 2)
+    rho = x @ x.conj().T
+    if order_zero_rho:
+        rho = unvec(vec(rho) * (coherence_blocks(scheme, mode) == 0))
+    rho /= np.trace(rho)
+    w = np.array(magnitudes) * rng.choice([-1.0, 1.0], size=len(magnitudes))
+    omega = np.concatenate((w, -w[:2], w[:2]))
+    assert len(np.unique(omega)) > chunk
+
+    ops = [mode.operator(scheme, c) for c in (1, 2)]
+    seeds = np.stack([vec(b @ rho - np.trace(b @ rho) * rho) for b in ops], 1)
+    eye = np.eye(scheme.n**2)
+    dense = []
+    for v in omega:
+        sols = np.linalg.solve(-1j * v * eye - liou.generator, seeds)
+        dense.append([np.trace(b.conj().T @ unvec(s)) for b, s in zip(ops, sols.T)])
+    dense = np.array(dense)
+    with mock.patch.object(oracles, "_CHUNK", chunk):
+        for b, expected in zip(ops, dense.T):
+            got = qrt_spectrum(liou, rho, b.conj().T, b, omega)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestTwoLevelReference:

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import zeenoise
-from zeenoise import errors
+from zeenoise import errors, oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -52,6 +52,27 @@ def test_cli_import_leaves_peak_analysis_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_oracles_stay_off_the_kernel_route():
+    """The regression oracle reads G and its seed only, never the kernel's M
+    or 2D: oracles.py imports neither propagation nor langevin, and reads no
+    `drift` attribute."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    modules = {part for name in imported for part in name.split(".")}
+    assert {"dynamics", "conventions"} <= modules
+    assert not modules & {"propagation", "langevin"}
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "drift"
+        or isinstance(node, ast.Constant) and node.value == "drift"
+    ]
 
 
 def _traced_names():

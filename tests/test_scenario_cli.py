@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -579,18 +580,27 @@ class TestCli:
         names = sorted(p.name for p in out.glob("*.csv"))
         assert names == ["demo_rabi_0.5.csv", "demo_rabi_1.csv"]
 
-    def test_empty_fields_for_inapplicable_oracle(self, tmp_path):
-        text = NOSWEEP.replace("polarization = circular", "polarization = linear")
-        scn = write(tmp_path, text, name="mls.ini")
-        out = tmp_path / "results"
-        rc = main(["run", str(scn), "--out", str(out)])
-        assert rc == 0
-        rows = (out / "mls.csv").read_text().splitlines()[1:]
-        for row in rows:
-            assert row.endswith(",")  # mollow column present but empty
-            assert "nan" not in row
-        # and the empty field is not a zero
-        assert all(r.rsplit(",", 1)[1] == "" for r in rows)
+    def test_empty_fields_for_inapplicable_oracle(self, tmp_path, capsys):
+        """Linear drive, and circular drive on Fe != Fg + 1, which has no
+        stretched two-level pair, leave the mollow column empty."""
+        for old, new in (
+            ("polarization = circular", "polarization = linear"),
+            ("fe = 2", "fe = 1"),
+        ):
+            scn = write(tmp_path, NOSWEEP.replace(old, new), name="mls.ini")
+            assert main(["validate", str(scn)]) == 0
+            assert "mollow oracle applies to circular drive on fe = fg + 1" in (
+                capsys.readouterr().err
+            )
+            out = tmp_path / new.replace(" ", "")
+            rc = main(["run", str(scn), "--out", str(out)])
+            assert rc == 0
+            rows = (out / "mls.csv").read_text().splitlines()[1:]
+            for row in rows:
+                assert row.endswith(",")  # mollow column present but empty
+                assert "nan" not in row
+            # and the empty field is not a zero
+            assert all(r.rsplit(",", 1)[1] == "" for r in rows)
 
     def test_determinism_across_thread_counts(self, tmp_path):
         scn = write(tmp_path, NOSWEEP, name="t.ini")
@@ -787,6 +797,17 @@ class TestCli:
         text = NOSWEEP.replace("b0 = 0.1", "b0 = -2")
         scn = write(tmp_path, text, name="v2.ini")
         assert "error: v2: " in assert_rejected(scn, tmp_path / "results", capsys)
+
+    @pytest.mark.parametrize("fe, rc", [("fe = 2", 2), ("fe = 1", 0)])
+    def test_zero_rabi_rejects_mollow_only_where_it_is_computed(
+        self, tmp_path, capsys, fe, rc
+    ):
+        text = NOSWEEP.replace("rabi = 1.0", "rabi = 0").replace(
+            "b0 = 0.1", "b0 = 0"
+        ).replace("fe = 2", fe)
+        assert main(["validate", str(write(tmp_path, text))]) == rc
+        err = capsys.readouterr().err
+        assert ("drive.rabi must be > 0 for the mollow oracle" in err) == (rc == 2)
 
     def test_run_without_scenario_or_preset_exits_2(self, capsys):
         assert main(["run"]) == 2
@@ -993,6 +1014,15 @@ class TestPresets:
         assert s.sweep.values == (0.1, 1.0, 5.0)
         assert s.grid.omega_min == pytest.approx(1e-4)
         assert s.grid.omega_max == pytest.approx(1e2)
+
+    def test_fig2_tls_fills_the_mollow_column(self):
+        base = resources.files("zeenoise").joinpath("presets")
+        with resources.as_file(base.joinpath("fig2_tls.ini")) as p:
+            s = load_scenario(p)
+        for _, _, point in s.points():
+            short = replace(point, grid=replace(point.grid, count=4))
+            column = runner.solve_atoms(short)[1]["mollow_opt_e1"]
+            assert column is not None and np.all(column > 0)
 
     def test_fig5_parameters(self):
         base = resources.files("zeenoise").joinpath("presets")
