@@ -59,8 +59,11 @@ def mollow_spectrum(omega, rabi, detuning=0.0, gamma=1.0):
     )
     eye = np.eye(3)
     w = omega[..., None, None]  # one 3x3 system per entry, solved as a stack
-    forward = np.linalg.solve(-1j * w * eye - a, g0[:, None])[..., 1, 0]
-    backward = np.linalg.solve(1j * w * eye - a, h0[:, None])[..., 0, 0]
+    # seeds as (3, 1) columns with the stack's number of axes: numpy < 2
+    # reads a right-hand side one axis short of the stack as vectors
+    col = (1,) * omega.ndim + (3, 1)
+    forward = np.linalg.solve(-1j * w * eye - a, g0.reshape(col))[..., 1, 0]
+    backward = np.linalg.solve(1j * w * eye - a, h0.reshape(col))[..., 0, 0]
     return (forward + backward).real
 
 
@@ -102,9 +105,11 @@ def qrt_spectrum(liouvillian, rho, a_op, b_op, omega):
         for start in range(0, len(distinct), _CHUNK):
             w = distinct[start:start + _CHUNK]
             try:
+                # a (1, b, 1) column, as in mollow_spectrum
                 sol = np.linalg.solve(
-                    -1j * w[:, None, None] * eye - gen_blk, seed[idx]
-                )
+                    -1j * w[:, None, None] * eye - gen_blk,
+                    seed[None, idx, None],
+                )[..., 0]
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(
                     "regression solve is singular at an Omega in "

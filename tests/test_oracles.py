@@ -201,6 +201,39 @@ class TestQrtSpectrum:
         assert abs(far[0]) < 1e-4
 
 
+def _numpy1_solve(a, b):
+    """np.linalg.solve as numpy 1.x dispatches it: b is a stack of vectors
+    whenever it has one axis fewer than a (numpy 2 reads only a 1-D b so)."""
+    from numpy.linalg import _umath_linalg
+
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    gufunc = _umath_linalg.solve1 if b.ndim == a.ndim - 1 else _umath_linalg.solve
+    return gufunc(a, b, signature="DD->D")
+
+
+def test_stacked_solves_read_alike_under_numpy_1_dispatch(monkeypatch):
+    """pyproject admits numpy >= 1.24, whose solve reads a right-hand side
+    by its number of axes: both oracles' stacked solves must give the same
+    values under that rule as under the installed numpy."""
+    liou = build_generator(SCHEME, DriveConfig(basis=CIRC, rabi=1.2))
+    rho = steady_state(liou)
+    op = CIRC.operator(SCHEME, 1)
+    grid = np.array([0.5, 1.0, 2.0])
+    expected = (
+        qrt_spectrum(liou, rho, op.conj().T, op, grid),
+        mollow_spectrum(grid, 1.2),
+        mollow_spectrum(np.array([[0.5, 1.0], [2.0, 3.0]]), 1.2),
+    )
+    monkeypatch.setattr(np.linalg, "solve", _numpy1_solve)
+    got = (
+        qrt_spectrum(liou, rho, op.conj().T, op, grid),
+        mollow_spectrum(grid, 1.2),
+        mollow_spectrum(np.array([[0.5, 1.0], [2.0, 3.0]]), 1.2),
+    )
+    for x, y in zip(got, expected):
+        assert np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("mode", list(PolarizationMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("fg, fe", BLOCK_PAIRS, ids=str)
 @settings(max_examples=3, deadline=None)
