@@ -1,7 +1,13 @@
 """Scalar observables extracted from spectral matrices.
 
 The optical (photodetection) spectrum of the transmitted field at offset
-Omega from the carrier is the normally ordered entry Re S22 taken at |Omega|.
+Omega from the carrier is the normally ordered entry Re S22 at each grid
+point, as computed. It is even in Omega at any detuning, as Mollow's
+two-level spectrum is: H and the jump operators are real, so complex
+conjugation with the excited states' sign flipped carries S22 at
+(-Omega, Delta) onto S22 at (+Omega, -Delta), and the spectrum is even in
+Delta. No grid point needs its mirror partner.
+
 A homodyne measurement at quadrature angle theta sees
 
     S_theta = S11 + S22 + S12 exp(-2 i theta) + S21 exp(+2 i theta),
@@ -32,31 +38,21 @@ class SpectrumTrace:
             raise ArgumentError("grid and values must have matching shapes")
 
 
-def optical_spectrum(spectral_matrix):
-    """Optical spectrum Re S22 evaluated at |Omega| for each grid point.
+def _grid_of(spectral_matrix, values):
+    """The matrix's grid; a grid-less (input) matrix gets zeros of the
+    values' shape."""
+    if spectral_matrix.grid is None:
+        return np.zeros(np.shape(values))
+    return np.asarray(spectral_matrix.grid, dtype=float)
 
-    Negative grid entries are mirrored onto the matching positive entry when
-    one exists (the measured spectrum is a function of the absolute offset).
-    """
-    grid = np.asarray(spectral_matrix.grid, dtype=float)
-    vals = np.real(np.asarray(spectral_matrix.s22, dtype=complex)).copy()
-    vals = np.broadcast_to(vals, grid.shape).copy()
-    neg = np.nonzero(grid < 0)[0]
-    target = -grid[neg]
-    order = np.argsort(grid, kind="stable")
-    ordered = grid[order]
-    # nearest neighbour of each target on either side; among equal
-    # distances the lowest grid index wins, as np.argmin would pick
-    right = np.minimum(np.searchsorted(ordered, target), grid.size - 1)
-    left = np.maximum(right - 1, 0)
-    left = np.searchsorted(ordered, ordered[left])  # first of its run
-    cand = np.stack((order[left], order[right]))
-    dist = np.abs(grid[cand] - target)
-    best = dist.min(axis=0)
-    j = np.where(dist == best, cand, grid.size).min(axis=0)
-    hit = np.isclose(grid[j], target, rtol=1e-9, atol=1e-300)
-    vals[neg[hit]] = vals[j[hit]]
-    return SpectrumTrace(grid=grid, values=vals)
+
+def optical_spectrum(spectral_matrix):
+    """Optical spectrum Re S22 at each grid point; even in Omega (see the
+    module docstring), so each point is read as computed."""
+    s22 = np.real(spectral_matrix.s22)
+    grid = _grid_of(spectral_matrix, s22)
+    values = np.broadcast_to(s22, grid.shape).astype(float)  # a fresh copy
+    return SpectrumTrace(grid=grid, values=values)
 
 
 def quadrature_noise(spectral_matrix, theta):
@@ -74,10 +70,7 @@ def quadrature_noise(spectral_matrix, theta):
                 "quadrature spectrum has a non-negligible imaginary part "
                 f"(max |Im| = {imag:.3e})"
             )
-    grid = m.grid
-    if grid is None:
-        grid = np.zeros(np.shape(combo.real))
-    return SpectrumTrace(grid=np.asarray(grid, dtype=float), values=combo.real)
+    return SpectrumTrace(grid=_grid_of(m, combo.real), values=combo.real)
 
 
 def amplitude_quadrature_angle(carrier):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from zeenoise import (
@@ -25,10 +27,10 @@ CIRC = PolarizationMode.CIRCULAR
 LIN = PolarizationMode.LINEAR
 
 
-def make(mode, rabi, detuning=0.0):
+def make(mode, rabi, detuning=0.0, scheme=SCHEME):
     basis = CIRC if mode == "circular" else LIN
     return build_generator(
-        SCHEME, DriveConfig(basis=basis, rabi=rabi, detuning=detuning)
+        scheme, DriveConfig(basis=basis, rabi=rabi, detuning=detuning)
     )
 
 
@@ -38,29 +40,45 @@ def test_hamiltonian_is_hermitian():
         assert np.allclose(h, h.conj().T, atol=1e-15)
 
 
-def test_generator_preserves_trace():
+F_PAIRS = [(0.5, 1.5), (1, 1), (1, 2), (2, 1), (1.5, 1.5), (2, 3)]
+ANY_DRIVE = {
+    "f_pair": st.sampled_from(F_PAIRS),
+    "mode": st.sampled_from(["circular", "linear"]),
+    "rabi": st.floats(0.3, 5.0),
+    "detuning": st.floats(-1.5, 1.5),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(**ANY_DRIVE)
+@example(f_pair=(1, 2), mode="circular", rabi=1.3, detuning=0.4)
+@example(f_pair=(1, 2), mode="linear", rabi=1.3, detuning=0.4)
+def test_generator_preserves_trace(f_pair, mode, rabi, detuning):
     """vec(I) is a left null vector of G: d Tr(rho)/dt = 0 for any rho."""
-    for mode in ("circular", "linear"):
-        liou = make(mode, rabi=1.3, detuning=0.4)
-        left = vec(np.eye(SCHEME.n)) @ liou.generator
-        assert np.abs(left).max() < 1e-13
+    liou = make(mode, rabi, detuning, LevelScheme(*f_pair))
+    left = vec(np.eye(liou.n)) @ liou.generator
+    assert np.abs(left).max() < 1e-13
 
 
-def test_drift_matches_generator_by_duality():
+@settings(max_examples=25, deadline=None)
+@given(**ANY_DRIVE, seed=st.integers(0, 2**32 - 1))
+@example(f_pair=(1, 2), mode="circular", rabi=0.9, detuning=-0.6, seed=7)
+@example(f_pair=(1, 2), mode="linear", rabi=0.9, detuning=-0.6, seed=7)
+def test_drift_matches_generator_by_duality(f_pair, mode, rabi, detuning, seed):
     """M acting on expectation vectors is the dual of G on states.
 
-    Checked on a random (seeded) density matrix: the expectation vector of
-    G rho must equal M applied to the expectation vector of rho.
+    Checked on a random density matrix: the expectation vector of G rho
+    must equal M applied to the expectation vector of rho.
     """
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    liou = make(mode, rabi, detuning, LevelScheme(*f_pair))
+    rng = np.random.default_rng(seed)
+    shape = (liou.n, liou.n)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     rho = x @ x.conj().T
     rho /= np.trace(rho)
-    for mode in ("circular", "linear"):
-        liou = make(mode, rabi=0.9, detuning=-0.6)
-        lhs = expectation_vector(unvec(liou.generator @ vec(rho)))
-        rhs = liou.drift @ expectation_vector(rho)
-        assert np.abs(lhs - rhs).max() < 1e-12
+    lhs = expectation_vector(unvec(liou.generator @ vec(rho)))
+    rhs = liou.drift @ expectation_vector(rho)
+    assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_drift_is_elementwise_conjugate_of_generator():

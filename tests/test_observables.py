@@ -36,41 +36,24 @@ class TestOpticalSpectrum:
         trace = optical_spectrum(sm)
         assert trace.values == pytest.approx([0.25, 0.5])
 
-    def test_negative_frequencies_mirror_onto_positive(self):
-        grid = np.array([-2.0, -1.0, 1.0, 2.0])
-        s22 = np.array([9.0, 9.0, 5.0, 7.0])
-        sm = SpectralMatrix(np.ones(4), np.zeros(4), np.zeros(4), s22, grid=grid)
-        trace = optical_spectrum(sm)
-        assert trace.values == pytest.approx([7.0, 5.0, 5.0, 7.0])
-
     def test_unmatched_negative_frequency_kept(self):
         grid = np.array([-3.0, 1.0])
         s22 = np.array([4.0, 5.0])
         sm = SpectralMatrix(np.ones(2), np.zeros(2), np.zeros(2), s22, grid=grid)
         assert optical_spectrum(sm).values == pytest.approx([4.0, 5.0])
 
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            np.linspace(-5.0, 3.0, 9),  # exact mirrors at +-1, +-2, +-3
-            np.linspace(-5.0, 3.0, 40),  # no exact mirror
-            np.concatenate(
-                (-np.logspace(-3, 1, 30)[::-1], np.logspace(-3, 1, 30))
-            ),
-            np.array([2.0, -1.0, 1.0, 1.0, -2.0, 1.0 + 1e-10, -1.0, 0.5]),
-        ],
-        ids=["linear-mirrored", "linear-unmatched", "symmetrized", "repeated"],
-    )
-    def test_mirror_search_matches_nearest_neighbour_rule(self, grid):
-        """Each negative point copies its first nearest |value| within 1e-9."""
-        s22 = np.random.default_rng(7).normal(size=grid.size)
-        sm = SpectralMatrix(0.0, 0.0, 0.0, s22, grid=grid)
-        expected = s22.copy()
-        for i in np.nonzero(grid < 0)[0]:
-            j = int(np.argmin(np.abs(grid + grid[i])))
-            if np.isclose(grid[j], -grid[i], rtol=1e-9, atol=1e-300):
-                expected[i] = s22[j]
-        assert np.array_equal(optical_spectrum(sm).values, expected)
+    def test_values_are_a_writable_copy(self):
+        s22 = np.array([1.0 + 1e-14j, 2.0])
+        sm = SpectralMatrix(0.0, 0.0, 0.0, s22, grid=np.array([-1.0, 1.0]))
+        values = optical_spectrum(sm).values
+        values[0] = 9.0
+        assert s22[0] == 1.0 + 1e-14j
+
+    def test_gridless_matrix_gets_the_quadrature_noise_grid(self):
+        sm = excess_noise_input(1.0, 2.0)
+        trace = optical_spectrum(sm)
+        assert trace.values == 0.75
+        assert np.array_equal(trace.grid, quadrature_noise(sm, 0.3).grid)
 
 
 class TestQuadratureNoise:
