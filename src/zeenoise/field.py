@@ -82,5 +82,7 @@ def excess_noise_input(eps_a, eps_p):
         if value < 0:
             raise ArgumentError(f"{key} must be >= 0, got {value}")
     s = (eps_a + eps_p) / 4.0
+    if not np.isfinite(s):
+        raise ArgumentError(f"eps_a + eps_p must be finite, got {eps_a} + {eps_p}")
     d = (eps_a - eps_p) / 4.0
     return SpectralMatrix(1.0 + s + 0j, d + 0j, d + 0j, s + 0j)

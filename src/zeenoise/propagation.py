@@ -8,33 +8,33 @@ response to the Langevin forces through the resolvent R(Omega) =
 
 from which any two-operator fluctuation spectrum FT<dA(t) dB(0)> is the
 projection a^T C(Omega) b. None of this depends on b0 or on the input
-noise, so an `Atoms` holds it for one transition, drive and grid: it takes
-the generator, the steady state and 2D, builds the dipole operators of
-both polarization components once, and solves its `correlations` on first
-use. It inverts one resolvent, R(+|Omega|), in full per distinct |Omega|
-of the grid and takes its mirror from it,
+noise, so an `Atoms` holds it for one transition, drive and grid, and
+solves its `correlations` on first use in one pass over the distinct
+|Omega| of the grid. Each step inverts R(+|Omega|) in full and takes its
+mirror
 
     R(-|Omega|) = P . conj(R(+|Omega|)) . P,
 
-with P the permutation a + n*b <-> b + n*a. The mirror is exact: the
-dynamics maps Hermitian operators to Hermitian ones, and since H is real
-symmetric, the decay terms are real and P only exchanges the two Kronecker
-factors, conj(M) = P M P holds bit for bit. So does i w I - M =
-P conj(-i w I - M) P, and the conditioning screen and singular-matrix
-check on R(+|Omega|) also cover R(-|Omega|). The pair feeds both
-C(+|Omega|) and C(-|Omega|). Only the rows of C where a vectorized dipole
-operator is nonzero are formed (114 of 1600 at F=9->10 linear), each the
-same BLAS row of (R . 2D) . R^T as in the full product. Against a second
+with P the permutation a + n*b <-> b + n*a. The mirror is exact: H is real
+symmetric and the decay terms are real, so conj(M) = P M P and i w I - M =
+P conj(-i w I - M) P hold bit for bit, and the conditioning screen and
+singular-matrix check on R(+|Omega|) also cover R(-|Omega|). The pair
+gives C(+|Omega|) and C(-|Omega|), formed only on the rows where a
+vectorized dipole operator is nonzero (114 of 1600 at F=9->10 linear),
+each the same BLAS row of (R . 2D) . R^T as in the full product. Of each
+sign the step keeps, per polarization component, the three forms
+dg C lo, lo C lo and dg C dg, with lo and dg the vectorized dipole
+lowering operator and its adjoint; every grid point reads its four
+correlations from these six by its |Omega| and sign. Against a second
 inversion at -|Omega| the mirror moves the preset tables by at most 5e-12
 of a column maximum, inside the 1e-10 reference gate; reordering the
-product instead pushes fig2's lowest-Omega rows past that gate, so the
-operand order stays. `propagate`
-then makes one output field from an `Atoms` per b0 and input matrix, and
-reads the correlations only at b0 > 0. The mean field is taken
-z-independent across the (optically thin) sample and back-action of field
-fluctuations on the atoms is neglected, so the output spectral matrix is
-the input plus an atomic term linear in b0, with no input/force cross
-terms.
+products instead pushes fig2's lowest-Omega rows past that gate, so the
+operand order stays. `propagate` then makes one output field from an
+`Atoms` per b0 and input matrix, and reads the correlations only at
+b0 > 0. The mean field is taken z-independent across the (optically thin)
+sample and back-action of field fluctuations on the atoms is neglected, so
+the output spectral matrix is the input plus an atomic term linear in b0,
+with no input/force cross terms.
 
 The atomic term is assembled in normally ordered form,
 
@@ -119,8 +119,8 @@ class Atoms:
     `steady_state` and `diffusion_matrix`. `operators` maps each
     polarization component to its dipole lowering operator. The
     correlations are solved on first use, so a b0 = 0 point inverts no
-    resolvent; otherwise one R(+|Omega|) is inverted per distinct |Omega|
-    and R(-|Omega|) is its exact mirror P . conj(R(+|Omega|)) . P (see the
+    resolvent; otherwise one pass inverts one R(+|Omega|) per distinct
+    |Omega| and keeps six forms of C(+-|Omega|) per component (see the
     module docstring).
     """
 
@@ -141,43 +141,38 @@ class Atoms:
         """Component -> [dg C(-Omega) lo, lo C(Omega) lo, dg C(Omega) dg,
         dg C(Omega) lo] as complex arrays over the grid, where lo and dg are
         the vectorized dipole lowering operator and its adjoint; `propagate`
-        scales them into S11, S12, S21 and S22. Rows of C(+-Omega) off the
-        dipole support stay 0: they meet only zero coefficients."""
+        scales them into S11, S12, S21 and S22. forms[c][sign, j, k] holds
+        the j-th of dg C lo, lo C lo, dg C dg for C(+distinct[k]) at sign 0
+        and C(-distinct[k]) at sign 1. Rows of C(+-|Omega|) off the dipole
+        support stay 0: they meet only zero coefficients."""
         grid = self.grid
         drift = self.liouvillian.drift
         two_d = self.two_d
         proj = {
             c: (vec(op), vec(op.conj().T)) for c, op in self.operators.items()
         }
-        corr = {
-            c: [np.zeros(grid.shape, dtype=complex) for _ in range(4)]
-            for c in proj
-        }
-
         support = np.flatnonzero(sum(abs(v) for pair in proj.values() for v in pair))
         n = self.liouvillian.n
         swap = np.arange(n * n).reshape(n, n).T.ravel()  # a + n*b <-> b + n*a
         c_pos = np.zeros(two_d.shape, dtype=complex)  # off-support rows stay 0
         c_neg = np.zeros(two_d.shape, dtype=complex)
-        indices = {}   # |Omega| -> grid indices, grouped in one pass
-        for i, w in enumerate(np.abs(grid).tolist()):
-            indices.setdefault(w, []).append(i)
-        for w in sorted(indices):
+        distinct, where = np.unique(np.abs(grid), return_inverse=True)
+        forms = {c: np.empty((2, 3, distinct.size), dtype=complex) for c in proj}
+        for k, w in enumerate(distinct.tolist()):
             r_plus = _resolvent(drift, w)
             r_minus = r_plus[np.ix_(swap, swap)].conj()  # R(-w) = P conj(R(w)) P
             c_pos[support] = r_plus[support] @ two_d @ r_minus.T
             c_neg[support] = r_minus[support] @ two_d @ r_plus.T
             del r_plus, r_minus  # freed before the next |Omega| is inverted
-            kernel = {w: c_pos, -w: c_neg}
-            for i in indices[w]:
-                c_plus = kernel[grid[i]]
-                c_minus = kernel[-grid[i]]
+            for sign, kernel in enumerate((c_pos, c_neg)):
                 for comp, (lo, dg) in proj.items():
-                    corr[comp][0][i] = dg @ c_minus @ lo
-                    corr[comp][1][i] = lo @ c_plus @ lo
-                    corr[comp][2][i] = dg @ c_plus @ dg
-                    corr[comp][3][i] = dg @ c_plus @ lo
-        return corr
+                    dg_kernel = dg @ kernel
+                    forms[comp][sign, :, k] = (
+                        dg_kernel @ lo, lo @ kernel @ lo, dg_kernel @ dg
+                    )
+        plus = (grid < 0).astype(int)  # sign index of C(Omega); C(-Omega) has 1 - plus
+        return {c: [f[1 - plus, 0, where], f[plus, 1, where], f[plus, 2, where],
+                    f[plus, 0, where]] for c, f in forms.items()}
 
 
 def propagate(input_matrix, medium, atoms):

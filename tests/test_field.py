@@ -59,6 +59,13 @@ def test_negative_fractions_rejected():
         excess_noise_input(-0.1, 0.0)
 
 
+def test_overflowing_excess_rejected():
+    """eps_a + eps_p past the float range would make S11 = inf."""
+    with pytest.raises(ArgumentError, match=r"^eps_a \+ eps_p must be finite"):
+        excess_noise_input(1e308, 1e308)
+    assert excess_noise_input(1e308, 0.0).s11 == 1.0 + 2.5e307
+
+
 def test_input_noise_matrix_roundtrip():
     m = excess_noise_input(0.5, 2.0)
     assert m.s22 == pytest.approx((0.5 + 2.0) / 4)

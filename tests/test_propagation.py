@@ -25,7 +25,7 @@ from zeenoise.errors import PHYSICS_ERRORS
 from zeenoise.oracles import two_level_reference
 from zeenoise.propagation import Atoms, atomic_response
 from zeenoise.runner import compute_point, run_scenario, solve_atoms
-from zeenoise.scenario import GridSpec, Scenario, SweepSpec
+from zeenoise.scenario import GridSpec, Scenario, SweepSpec, validate_scenario
 
 GRID = np.array([1e-3, 0.1, 0.7, 3.0, 12.0])
 
@@ -275,14 +275,16 @@ _UP_TO_MAX = st.floats(0.0, 1e308)
 def test_compute_point_is_finite_or_raises_physics_error(
     polarization, rabi, detuning, b0, eps_a, eps_p, theta
 ):
-    """Every column is finite, or the point ends in a documented exit-3 error;
-    theta None is the amplitude quadrature."""
+    """A point that passes validation has every column finite, or ends in a
+    documented exit-3 error; theta None is the amplitude quadrature."""
     scenario = Scenario(
         name="any", fg=1, fe=2, gamma=1.0, polarization=polarization,
         rabi=rabi, detuning=detuning, b0=b0, grid=GridSpec(0.01, 10.0, 3),
         eps_a=eps_a, eps_p=eps_p, oracles=("qrt", "mollow"),
         quadrature_theta=theta,
     )
+    if validate_scenario(scenario)[1]:
+        return  # exit 2 before anything is solved
     try:
         columns, _ = compute_point(scenario, *solve_atoms(scenario))
     except PHYSICS_ERRORS:
@@ -390,7 +392,8 @@ def assert_atomic_term_matches(out, liou, two_d, grid, b0):
     GridSpec(1e-3, 12.0, 6, "log").build(),
     GridSpec(0.1, 3.0, 3, "linear", symmetrize=True).build(),
     np.array([2.0, -0.5, 1e-3, 0.5, 2.0, -2.0]),
-], ids=["log", "symmetrized", "repeated"])
+    np.array([-3.0, -0.2, -0.2, -1e-3]),
+], ids=["log", "symmetrized", "repeated", "negative"])
 def test_atomic_term_is_bit_identical_to_per_omega_kernels(mode, grid):
     """Sharing R(+|Omega|) and its mirror between C(+|Omega|) and
     C(-|Omega|), and forming only the support rows, changes no bit of the

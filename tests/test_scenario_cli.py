@@ -720,9 +720,7 @@ class TestCli:
     @pytest.mark.parametrize("old, new, message", [
         ("oracles = qrt mollow", "quadrature = 1e308",
          "quadrature spectrum has a non-negligible imaginary part (max |Im| = nan)"),
-        ("oracles = qrt mollow", "[input]\neps_a = 1e308\neps_p = 1e308",
-         "column 's_opt_e1' holds a non-finite value"),
-    ], ids=["quadrature_1e308", "eps_1e308"])
+    ], ids=["quadrature_1e308"])
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_table_exits_3_and_names_point(
         self, tmp_path, capsys, old, new, message
@@ -829,9 +827,12 @@ class TestCli:
          "drive.rabi must be > 0 for the mollow oracle"),
         ("fg = 1\nfe = 2", "fg = 1\nfe = 2\ngamma = 0",
          "transition.gamma must be > 0"),
+        ("b0 = 0.1", "b0 = 0.1\n\n[input]\neps_a = 1e308\neps_p = 1e308",
+         "input.eps_a + eps_p must be finite, got 1e+308 + 1e+308"),
     ], ids=[
         "duplicate_oracle", "grid_span_overflow", "f_above_cap", "symmetrize_maybe",
         "zero_rabi_circular", "zero_rabi_linear", "zero_rabi_mollow", "zero_gamma",
+        "excess_noise_overflow",
     ])
     def test_rejected_input_exits_2_without_output(
         self, tmp_path, capsys, monkeypatch, old, new, message
