@@ -73,8 +73,8 @@ def hamiltonian(scheme, drive):
 
 
 def _adjoint_rows(x, y):
-    """T[a, b, i, j] = x[a, i] * y[b, j]: the image of |a><b| at entry [i, j]."""
-    return np.einsum("ai,bj->abij", x, y)
+    """T[b, a, j, i] = x[a, i] * y[b, j]: the image of |a><b| at entry [i, j]."""
+    return np.einsum("ai,bj->baji", x, y, order="C")
 
 
 def build_generator(scheme, drive):
@@ -105,7 +105,7 @@ def build_generator(scheme, drive):
             _adjoint_rows(c, c)
             - 0.5 * (_adjoint_rows(cdc.T, eye) + _adjoint_rows(eye, cdc))
         )
-    m = lx.transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    m = lx.reshape(n * n, n * n)  # a view: M[a + n*b, i + n*j] = T[b, a, j, i]
 
     return Liouvillian(generator=g, drift=m, scheme=scheme, drive=drive)
 

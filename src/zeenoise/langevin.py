@@ -9,7 +9,8 @@ At steady state the noise-force correlations <f_mu(t) f_nu(t')> =
 with the operator-product contraction sigma_ab sigma_cd = delta_bc
 sigma_ad, so every product is again a basis operator and its drift is a
 row of M. No ordering is imposed: negativity of normally-ordered blocks
-is physical (it is what produces squeezing downstream).
+is physical (it is what produces squeezing downstream). The three terms
+are summed in place in the returned column-major 2D, bit for bit.
 """
 
 import numpy as np
@@ -46,7 +47,9 @@ def diffusion_matrix(liouvillian, rho):
     #   <L+(sigma_ab sigma_cd)> = delta_bc <L+(sigma_ad)>
     #   <L+(sigma_ab)> sigma_cd and sigma_ab <L+(sigma_cd)> contract through
     #   the same delta rule applied inside the drift rows.
-    t1 = np.einsum("bc,ad->abcd", np.eye(n), ms2)
-    t2 = np.einsum("abmc,md->abcd", m4, sm)
-    t3 = np.einsum("cdbm,am->abcd", m4, sm)
-    return (t1 - t2 - t3).reshape(n * n, n * n, order="F")
+    two_d = np.empty((n * n, n * n), dtype=complex, order="F")
+    t = two_d.reshape(n, n, n, n, order="F")
+    np.einsum("bc,ad->abcd", np.eye(n), ms2, out=t)
+    t -= np.einsum("abmc,md->abcd", m4, sm)
+    t -= np.einsum("cdbm,am->abcd", m4, sm)
+    return two_d

@@ -15,14 +15,16 @@ mirror
 
     R(-|Omega|) = P . conj(R(+|Omega|)) . P,
 
-with P the permutation a + n*b <-> b + n*a. The mirror is exact: H is real
-symmetric and the decay terms are real, so conj(M) = P M P and i w I - M =
-P conj(-i w I - M) P hold bit for bit, and the conditioning screen and
-singular-matrix check on R(+|Omega|) also cover R(-|Omega|). The pair
-gives C(+|Omega|) and C(-|Omega|), formed only on the rows where a
-vectorized dipole operator is nonzero (114 of 1600 at F=9->10 linear),
-each the same BLAS row of (R . 2D) . R^T as in the full product. Of each
-sign the step keeps, per polarization component, the three forms
+with P the permutation a + n*b <-> b + n*a, taken as one conjugating copy
+of R(+|Omega|) viewed as n x n x n x n with both index pairs swapped. The
+mirror is exact: H is real symmetric and the decay terms are real, so
+conj(M) = P M P and i w I - M = P conj(-i w I - M) P hold bit for bit, and
+the conditioning screen and singular-matrix check on R(+|Omega|) also
+cover R(-|Omega|). The pair gives C(+|Omega|), then C(-|Omega|) in the
+same array, formed only on the rows where a vectorized dipole operator is
+nonzero (114 of 1600 at F=9->10 linear), each the same BLAS row of
+(R . 2D) . R^T as in the full product. Of each sign the step keeps, per
+polarization component, the three forms
 dg C lo, lo C lo and dg C dg, with lo and dg the vectorized dipole
 lowering operator and its adjoint; every grid point reads its four
 correlations from these six by its |Omega| and sign. Against a second
@@ -86,7 +88,8 @@ class OutputField:
 
 def _resolvent(drift, omega):
     n2 = drift.shape[0]
-    a = -1j * omega * np.eye(n2) - drift
+    a = np.subtract(0.0, drift)  # not -drift, whose -0.0 entries move bits of R
+    a.reshape(-1)[:: n2 + 1] -= 1j * omega
     try:
         r = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -128,11 +131,12 @@ class Atoms:
         self.grid = np.atleast_1d(np.asarray(grid, dtype=float))
         if self.grid.size == 0:
             raise ArgumentError("frequency grid is empty")
-        self.liouvillian = liouvillian
+        self.drift = liouvillian.drift  # not G, which is freed before the kernel
+        self.scheme, self.drive = liouvillian.scheme, liouvillian.drive
         self.rho = rho
         self.two_d = two_d
         self.operators = {
-            c: liouvillian.drive.basis.operator(liouvillian.scheme, c)
+            c: self.drive.basis.operator(self.scheme, c)
             for c in _POLARIZATION_COMPONENTS
         }
 
@@ -146,30 +150,28 @@ class Atoms:
         and C(-distinct[k]) at sign 1. Rows of C(+-|Omega|) off the dipole
         support stay 0: they meet only zero coefficients."""
         grid = self.grid
-        drift = self.liouvillian.drift
+        drift = self.drift
         two_d = self.two_d
         proj = {
             c: (vec(op), vec(op.conj().T)) for c, op in self.operators.items()
         }
         support = np.flatnonzero(sum(abs(v) for pair in proj.values() for v in pair))
-        n = self.liouvillian.n
-        swap = np.arange(n * n).reshape(n, n).T.ravel()  # a + n*b <-> b + n*a
-        c_pos = np.zeros(two_d.shape, dtype=complex)  # off-support rows stay 0
-        c_neg = np.zeros(two_d.shape, dtype=complex)
+        n = self.scheme.n
+        kernel = np.zeros(two_d.shape, dtype=complex)  # off-support rows stay 0
         distinct, where = np.unique(np.abs(grid), return_inverse=True)
         forms = {c: np.empty((2, 3, distinct.size), dtype=complex) for c in proj}
         for k, w in enumerate(distinct.tolist()):
             r_plus = _resolvent(drift, w)
-            r_minus = r_plus[np.ix_(swap, swap)].conj()  # R(-w) = P conj(R(w)) P
-            c_pos[support] = r_plus[support] @ two_d @ r_minus.T
-            c_neg[support] = r_minus[support] @ two_d @ r_plus.T
-            del r_plus, r_minus  # freed before the next |Omega| is inverted
-            for sign, kernel in enumerate((c_pos, c_neg)):
+            swapped = r_plus.reshape(n, n, n, n).transpose(1, 0, 3, 2)  # P R(w) P
+            r_minus = np.conjugate(swapped, order="C").reshape(r_plus.shape)
+            for sign, (left, right) in enumerate(((r_plus, r_minus), (r_minus, r_plus))):
+                kernel[support] = left[support] @ two_d @ right.T
                 for comp, (lo, dg) in proj.items():
                     dg_kernel = dg @ kernel
                     forms[comp][sign, :, k] = (
                         dg_kernel @ lo, lo @ kernel @ lo, dg_kernel @ dg
                     )
+            del r_plus, r_minus, swapped, left, right  # freed before the next inversion
         plus = (grid < 0).astype(int)  # sign index of C(Omega); C(-Omega) has 1 - plus
         return {c: [f[1 - plus, 0, where], f[plus, 1, where], f[plus, 2, where],
                     f[plus, 0, where]] for c, f in forms.items()}
@@ -185,8 +187,8 @@ def propagate(input_matrix, medium, atoms):
     and no correlation is solved.
     """
     grid = atoms.grid
-    scheme = atoms.liouvillian.scheme
-    drive = atoms.liouvillian.drive
+    scheme = atoms.scheme
+    drive = atoms.drive
     b0 = medium.b0
     k2 = 0.25 * b0 * scheme.gamma
     if b0 > 0 and drive.rabi == 0:

@@ -122,6 +122,31 @@ def test_broadcast_drift_equals_row_by_row_drift_bitwise(fg, fe, mode):
     assert drift.tobytes() == drift_by_rows(scheme, drive).tobytes()
 
 
+@pytest.mark.parametrize("mode", [CIRC, LIN], ids=lambda m: m.value)
+@pytest.mark.parametrize("fg, fe", [(1, 2), (2, 3), (4, 5)], ids=str)
+def test_drift_equals_transposed_adjoint_rows_bitwise(fg, fe, mode):
+    """M written straight in its row order equals, zero signs included, the
+    adjoint rows built as T[a, b, i, j] = x[a, i] y[b, j] and then copied
+    through transpose(1, 0, 3, 2), and keeps that copy's C layout."""
+    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.0)
+    drive = DriveConfig(basis=mode, rabi=0.9, detuning=-0.14)
+    n = scheme.n
+    h = hamiltonian(scheme, drive)
+    eye = np.eye(n)
+
+    def rows(x, y):
+        return np.einsum("ai,bj->abij", x, y)
+
+    lx = 1j * (rows(h.T, eye) - rows(eye, h))
+    for c in (dipole_component(scheme, q) for q in (-1, 0, +1)):
+        cdc = c.T @ c
+        lx += scheme.gamma * (rows(c, c) - 0.5 * (rows(cdc.T, eye) + rows(eye, cdc)))
+    expected = lx.transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    drift = build_generator(scheme, drive).drift
+    assert np.array_equal(drift, expected)
+    assert drift.tobytes() == expected.tobytes() and drift.flags.c_contiguous
+
+
 @pytest.mark.parametrize("fg, fe, mode, labels, components", [
     (0.5, 1.5, CIRC, 7, 9), (0.5, 1.5, LIN, 7, 9),
     (1, 1, CIRC, 7, 9), (1, 1, LIN, 5, 9),

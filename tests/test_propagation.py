@@ -345,8 +345,12 @@ def test_output_keeps_the_field_invariants(
 
 def mirrored_kernels(liou, two_d, w):
     """Full C(w) and C(-w) from one inversion at |w| and its conjugate
-    mirror, the route `Atoms.correlations` takes, one grid point at a time."""
-    r_abs = zeenoise.propagation._resolvent(liou.drift, abs(w))
+    mirror, the route `Atoms.correlations` takes, one grid point at a time.
+    The resolvent is formed and inverted here, and mirrored by a gather
+    through P, independently of `_resolvent` and of the kernel's strided
+    mirror, so a bit moved in either shows."""
+    m = liou.drift
+    r_abs = np.linalg.inv(-1j * float(abs(w)) * np.eye(m.shape[0]) - m)
     r_mir = r_abs[np.ix_(*[factor_swap(liou.n)] * 2)].conj()
     c_abs, c_mir = r_abs @ two_d @ r_mir.T, r_mir @ two_d @ r_abs.T
     return (c_abs, c_mir) if w >= 0 else (c_mir, c_abs)
