@@ -8,10 +8,11 @@ response to the Langevin forces through the resolvent R(Omega) =
 
 from which any two-operator fluctuation spectrum FT<dA(t) dB(0)> is the
 projection a^T C(Omega) b. None of this depends on b0 or on the input
-noise, so an `Atoms` holds it for one transition, drive and grid, and
-solves its `correlations` on first use in one pass over the distinct
-|Omega| of the grid. Each step inverts R(+|Omega|) in full and takes its
-mirror
+noise, so an `Atoms` holds it for one transition, drive and grid, with M
+and 2D kept as their nonzero entries (1 % and 11 % at F=4->5) and rebuilt
+per |Omega| in one scratch matrix. It solves its `correlations` on first
+use in one pass over the distinct |Omega| of the grid. Each step inverts
+R(+|Omega|) in full and takes its mirror
 
     R(-|Omega|) = P . conj(R(+|Omega|)) . P,
 
@@ -24,19 +25,18 @@ cover R(-|Omega|). The pair gives C(+|Omega|), then C(-|Omega|) in the
 same array, formed only on the rows where a vectorized dipole operator is
 nonzero (114 of 1600 at F=9->10 linear), each the same BLAS row of
 (R . 2D) . R^T as in the full product. Of each sign the step keeps, per
-polarization component, the three forms
-dg C lo, lo C lo and dg C dg, with lo and dg the vectorized dipole
-lowering operator and its adjoint; every grid point reads its four
-correlations from these six by its |Omega| and sign. Against a second
-inversion at -|Omega| the mirror moves the preset tables by at most 5e-12
-of a column maximum, inside the 1e-10 reference gate; reordering the
-products instead pushes fig2's lowest-Omega rows past that gate, so the
-operand order stays. `propagate` then makes one output field from an
-`Atoms` per b0 and input matrix, and reads the correlations only at
-b0 > 0. The mean field is taken z-independent across the (optically thin)
-sample and back-action of field fluctuations on the atoms is neglected, so
-the output spectral matrix is the input plus an atomic term linear in b0,
-with no input/force cross terms.
+polarization component, the three forms dg C lo, lo C lo and dg C dg, with
+lo and dg the vectorized dipole lowering operator and its adjoint; every
+grid point reads its four correlations from these six by its |Omega| and
+sign. Against a second inversion at -|Omega| the mirror moves the preset
+tables by at most 5e-12 of a column maximum, inside the 1e-10 reference
+gate; reordering the products instead pushes fig2's lowest-Omega rows past
+that gate, so the operand order stays. `propagate` then makes one output
+field from an `Atoms` per b0 and input matrix, and reads the correlations
+only at b0 > 0. The mean field is taken z-independent across the
+(optically thin) sample and back-action of field fluctuations on the atoms
+is neglected, so the output spectral matrix is the input plus an atomic
+term linear in b0, with no input/force cross terms.
 
 The atomic term is assembled in normally ordered form,
 
@@ -86,10 +86,21 @@ class OutputField:
     atomic: dict           # component -> atomic contribution alone
 
 
-def _resolvent(drift, omega):
-    n2 = drift.shape[0]
-    a = np.subtract(0.0, drift)  # not -drift, whose -0.0 entries move bits of R
-    a.reshape(-1)[:: n2 + 1] -= 1j * omega
+def _pairs(x):
+    """(flat index, value) of each entry of C-ordered x not bitwise +0.0."""
+    flat = x.reshape(-1)
+    index = np.flatnonzero((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag))
+    return index, flat[index]
+
+
+def _shift(a, omega):
+    """-i omega I - M in place from a = 0.0 - M (-M's -0.0 move bits of R)."""
+    a.reshape(-1)[:: a.shape[0] + 1] -= 1j * omega
+    return a
+
+
+def _resolvent(a, omega):
+    """R(omega) = a^-1 for an already formed a = -i omega I - M."""
     try:
         r = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -110,8 +121,8 @@ def _resolvent(drift, omega):
 
 def atomic_response(liouvillian, two_d, omega):
     """Resolvent R(Omega) and fluctuation kernel C(Omega) at one frequency."""
-    r_plus = _resolvent(liouvillian.drift, omega)
-    r_minus = _resolvent(liouvillian.drift, -omega)
+    r_plus = _resolvent(_shift(np.subtract(0.0, liouvillian.drift), omega), omega)
+    r_minus = _resolvent(_shift(np.subtract(0.0, liouvillian.drift), -omega), -omega)
     return r_plus, r_plus @ two_d @ r_minus.T
 
 
@@ -119,22 +130,22 @@ class Atoms:
     """The b0-free response of one transition and drive on one grid.
 
     `liouvillian`, `rho` and `two_d` are the outputs of `build_generator`,
-    `steady_state` and `diffusion_matrix`. `operators` maps each
-    polarization component to its dipole lowering operator. The
-    correlations are solved on first use, so a b0 = 0 point inverts no
-    resolvent; otherwise one pass inverts one R(+|Omega|) per distinct
-    |Omega| and keeps six forms of C(+-|Omega|) per component (see the
-    module docstring).
+    `steady_state` and `diffusion_matrix`; of M and 2D it keeps only the
+    `_pairs` of 0.0 - M and of 2D. `operators` maps each polarization
+    component to its dipole lowering operator. The correlations are solved
+    on first use, so a b0 = 0 point inverts no resolvent; otherwise one
+    pass inverts one R(+|Omega|) per distinct |Omega| and keeps six forms
+    of C(+-|Omega|) per component (see the module docstring).
     """
 
     def __init__(self, liouvillian, rho, two_d, grid):
         self.grid = np.atleast_1d(np.asarray(grid, dtype=float))
         if self.grid.size == 0:
             raise ArgumentError("frequency grid is empty")
-        self.drift = liouvillian.drift  # not G, which is freed before the kernel
+        self.minus_drift_pairs = _pairs(np.subtract(0.0, liouvillian.drift))
+        self.two_d_pairs = _pairs(two_d.T)  # in 2D's column-major order
         self.scheme, self.drive = liouvillian.scheme, liouvillian.drive
         self.rho = rho
-        self.two_d = two_d
         self.operators = {
             c: self.drive.basis.operator(self.scheme, c)
             for c in _POLARIZATION_COMPONENTS
@@ -150,18 +161,22 @@ class Atoms:
         and C(-distinct[k]) at sign 1. Rows of C(+-|Omega|) off the dipole
         support stay 0: they meet only zero coefficients."""
         grid = self.grid
-        drift = self.drift
-        two_d = self.two_d
         proj = {
             c: (vec(op), vec(op.conj().T)) for c, op in self.operators.items()
         }
         support = np.flatnonzero(sum(abs(v) for pair in proj.values() for v in pair))
         n = self.scheme.n
-        kernel = np.zeros(two_d.shape, dtype=complex)  # off-support rows stay 0
+        scratch = np.zeros((n * n, n * n), dtype=complex)  # -i w I - M, then 2D
+        two_d = scratch.T  # column-major, as diffusion_matrix builds 2D
+        kernel = np.zeros_like(scratch)  # off-support rows stay 0
         distinct, where = np.unique(np.abs(grid), return_inverse=True)
         forms = {c: np.empty((2, 3, distinct.size), dtype=complex) for c in proj}
         for k, w in enumerate(distinct.tolist()):
-            r_plus = _resolvent(drift, w)
+            scratch.fill(0.0)
+            scratch.put(*self.minus_drift_pairs)
+            r_plus = _resolvent(_shift(scratch, w), w)
+            scratch.fill(0.0)
+            scratch.put(*self.two_d_pairs)
             swapped = r_plus.reshape(n, n, n, n).transpose(1, 0, 3, 2)  # P R(w) P
             r_minus = np.conjugate(swapped, order="C").reshape(r_plus.shape)
             for sign, (left, right) in enumerate(((r_plus, r_minus), (r_minus, r_plus))):

@@ -1,5 +1,7 @@
 """Thin-medium propagation: output spectral matrices and the carrier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,7 @@ from zeenoise import (
 from zeenoise.conventions import vec
 from zeenoise.errors import PHYSICS_ERRORS
 from zeenoise.oracles import two_level_reference
-from zeenoise.propagation import Atoms, atomic_response
+from zeenoise.propagation import Atoms, _pairs, atomic_response
 from zeenoise.runner import compute_point, run_scenario, solve_atoms
 from zeenoise.scenario import GridSpec, Scenario, SweepSpec, validate_scenario
 
@@ -426,6 +428,82 @@ def test_support_rows_are_bit_identical_at_larger_f(fg, fe, mode):
         excess_noise_input(0.0, 0.0), MediumParams(b0), Atoms(liou, rho, two_d, grid)
     )
     assert_atomic_term_matches(out, liou, two_d, grid, b0)
+
+
+def scratch_writes(monkeypatch, liou, rho, two_d, grid):
+    """(matrix, its bytes) at every `_resolvent` call of one
+    `Atoms.correlations` pass. The matrix is the kernel's scratch; the
+    bytes are its first write at that |Omega|, and after the pass it still
+    holds its last second write, the 2D of the last |Omega|'s products."""
+    seen = []
+    original = zeenoise.propagation._resolvent
+
+    def recording(a, omega):
+        seen.append((a, a.tobytes()))
+        return original(a, omega)
+
+    monkeypatch.setattr(zeenoise.propagation, "_resolvent", recording)
+    Atoms(liou, rho, two_d, grid).correlations
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["circular", "linear"])
+@pytest.mark.parametrize("fg, fe", [(1, 2), (4, 5)], ids=str)
+def test_scratch_rebuilds_m_and_2d_bitwise(monkeypatch, fg, fe, mode):
+    """The one scratch matrix holds np.subtract(0.0, M) with -i|Omega| on
+    its diagonal when it is inverted, then 2D in diffusion_matrix's
+    column-major layout: byte for byte the dense arrays of the products."""
+    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.0)
+    liou = build_generator(scheme, DriveConfig(PolarizationMode(mode), 0.9, -0.14))
+    rho = steady_state(liou)
+    two_d = diffusion_matrix(liou, rho)
+    seen = scratch_writes(monkeypatch, liou, rho, two_d, [0.5, -2.0, 2.0])
+    assert len(seen) == 2
+    for (_, first), w in zip(seen, (0.5, 2.0)):
+        shifted = np.subtract(0.0, liou.drift)
+        shifted[np.diag_indices_from(shifted)] -= 1j * w
+        assert first == shifted.tobytes()
+    scratch = seen[-1][0]
+    assert seen[0][0] is scratch and scratch.flags.c_contiguous
+    assert scratch.T.flags.f_contiguous and scratch.T.strides == two_d.strides
+    assert scratch.T.tobytes() == two_d.tobytes()
+
+
+def test_pairs_keep_signed_zeros(monkeypatch):
+    """-0.0 in either part of an entry survives the compact form and the
+    scratch rebuilds it byte for byte; only entries that are +0.0 in both
+    parts are dropped."""
+    scheme, liou, steady, diff = system("linear", 1.0, 0.4)
+    signed = diff.copy(order="F")
+    signed[0, 1], signed[1, 0], signed[2, 2] = -0.0, complex(0.0, -0.0), -0.0 - 0.0j
+    index, value = _pairs(signed.T)
+    assert index.size == np.count_nonzero(signed) + 3
+    assert np.signbit(value.real).any() and np.signbit(value.imag).any()
+    scratch = scratch_writes(monkeypatch, liou, steady, signed, [0.5])[-1][0]
+    assert scratch.T.tobytes() == signed.tobytes() != diff.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["circular", "linear"])
+def test_atoms_retains_less_than_a_quarter_of_a_dense_matrix(mode):
+    """Once the Liouvillian and the dense 2D are dropped, an F=4->5 `Atoms`
+    retains its compact M and 2D (about 0.19 of one dense n^2 x n^2 array
+    with its other attributes), not the dense arrays."""
+    scheme = LevelScheme(fg=4, fe=5, gamma=1.0)
+    drive = DriveConfig(PolarizationMode(mode), rabi=0.9, detuning=-0.14)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        liou = build_generator(scheme, drive)
+        rho = steady_state(liou)
+        atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), GRID)  # kept alive
+        del liou
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    dense = scheme.n**4 * 16
+    assert retained < 0.25 * dense, retained / dense
 
 
 def test_even_in_frequency_on_resonance():
