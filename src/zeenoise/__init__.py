@@ -28,13 +28,9 @@ from .conventions import CONVENTIONS_VERSION
 from .dynamics import DriveConfig, build_generator, steady_state
 from .errors import (
     ArgumentError,
-    DegenerateSteadyStateError,
-    InternalConsistencyError,
     NumericalError,
     ScenarioError,
-    StationarityError,
     ZeenoiseError,
-    ZeroCarrierError,
 )
 from .field import PolarizationMode, excess_noise_input
 from .langevin import diffusion_matrix
@@ -52,17 +48,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgumentError",
     "CONVENTIONS_VERSION",
-    "DegenerateSteadyStateError",
     "DriveConfig",
-    "InternalConsistencyError",
     "LevelScheme",
     "MediumParams",
     "NumericalError",
     "PolarizationMode",
     "ScenarioError",
-    "StationarityError",
     "ZeenoiseError",
-    "ZeroCarrierError",
     "amplitude_quadrature_angle",
     "build_generator",
     "diffusion_matrix",

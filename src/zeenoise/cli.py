@@ -11,9 +11,8 @@ has no effect.
 stderr messages, then prints `<name>: ok (<k> warning(s))` on stdout.
 
 Exit codes: 0 success; 2 configuration problem (parse error or failed
-validation, with file/section/key context); 3 physics failure (any of
-errors.PHYSICS_ERRORS) or a MemoryError, naming the scenario point; 4 I/O
-failure.
+validation, with file/section/key context); 3 physics failure (a
+NumericalError) or a MemoryError, naming the scenario point; 4 I/O failure.
 The default output directory is $ZEENOISE_OUT, falling back to
 ./zeenoise-out.
 """
@@ -25,7 +24,7 @@ from importlib import resources
 from itertools import groupby
 from pathlib import Path
 
-from .errors import PHYSICS_ERRORS, ScenarioError
+from .errors import NumericalError, ScenarioError
 from .runner import DEFAULT_OUTPUT_DIR, OUTPUT_DIR_ENV, run_scenario
 from .scenario import load_scenario, validate_scenario
 
@@ -134,7 +133,7 @@ def _cmd_run(args):
     for scenario, _ in checked:
         try:
             written.extend(run_scenario(scenario, out_dir))
-        except PHYSICS_ERRORS as exc:
+        except NumericalError as exc:
             print(f"physics failure: {exc}", file=sys.stderr)
             return EXIT_PHYSICS
         except MemoryError as exc:

@@ -27,10 +27,12 @@ import numpy as np
 
 from .angular import dipole_component
 from .conventions import unvec, vec
-from .errors import ArgumentError, DegenerateSteadyStateError, NumericalError
+from .errors import ArgumentError, NumericalError
 from .field import PolarizationMode
 
 _NULL_SPACE_CUTOFF = 1e-9
+# Largest max |G vec(rho)| a state may leave and still count as steady.
+STATIONARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,10 @@ def steady_state(liouvillian):
     """Steady-state density matrix rho: the unique trace-1 Hermitian null
     vector of the generator, returned as an n x n complex array.
 
-    Raises DegenerateSteadyStateError when the null space has dimension
-    other than one (for example Omega1 = 0, or a detuning so far that the
-    optical-pumping rates fall below the relative singular-value cutoff).
+    Raises NumericalError when the null space has dimension other than one
+    (for example Omega1 = 0, or a detuning so far that the optical-pumping
+    rates fall below the relative singular-value cutoff), or when the solve
+    is rank deficient or leaves max |G vec(rho)| above STATIONARITY_TOL.
     """
     g = liouvillian.generator
     n = liouvillian.n
@@ -140,7 +143,11 @@ def steady_state(liouvillian):
     scale = svals[0] if svals[0] > 0 else 1.0
     null_dim = int(np.sum(svals < _NULL_SPACE_CUTOFF * scale))
     if null_dim != 1:
-        raise DegenerateSteadyStateError(null_dim, _NULL_SPACE_CUTOFF)
+        raise NumericalError(
+            f"steady state is not unique: generator null space has dimension "
+            f"{null_dim} at relative singular-value cutoff {_NULL_SPACE_CUTOFF:g} "
+            f"(undriven, dark-state degeneracy, or optical pumping below the cutoff)"
+        )
 
     trace_row = vec(np.eye(n)).reshape(1, -1)
     stacked = np.vstack([g, trace_row])
@@ -154,6 +161,6 @@ def steady_state(liouvillian):
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     residual = np.abs(g @ vec(rho)).max()
-    if residual > 1e-8:
+    if residual > STATIONARITY_TOL:
         raise NumericalError(f"steady-state residual {residual:.2e} too large")
     return rho

@@ -16,24 +16,23 @@ are summed in place in the returned column-major 2D, bit for bit.
 import numpy as np
 
 from .conventions import expectation_vector, vec
-from .errors import StationarityError
-
-_STATIONARITY_TOL = 1e-8
+from .dynamics import STATIONARITY_TOL
+from .errors import NumericalError
 
 
 def diffusion_matrix(liouvillian, rho):
     """Force-correlation matrix 2D (n^2 x n^2) by the Einstein relation.
 
-    `rho` is the density matrix, and it must be stationary under the
-    Liouvillian's generator.
+    `rho` is the density matrix; a max |G vec(rho)| above STATIONARITY_TOL
+    raises NumericalError.
     """
     n = liouvillian.n
     g = liouvillian.generator
     m = liouvillian.drift
 
     residual = np.abs(g @ vec(rho)).max()
-    if residual > _STATIONARITY_TOL:
-        raise StationarityError(
+    if residual > STATIONARITY_TOL:
+        raise NumericalError(
             f"state is not stationary: |G rho| = {residual:.2e}"
         )
 

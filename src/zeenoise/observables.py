@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, InternalConsistencyError, ZeroCarrierError
+from .errors import ArgumentError, NumericalError
 
 _IMAG_TOL = 1e-8
 
@@ -66,7 +66,7 @@ def quadrature_noise(spectral_matrix, theta):
         imag = float(np.max(np.abs(combo.imag)))
         scale = max(1.0, float(np.max(np.abs(combo.real))))
         if not imag <= _IMAG_TOL * scale:  # a NaN fails too
-            raise InternalConsistencyError(
+            raise NumericalError(
                 "quadrature spectrum has a non-negligible imaginary part "
                 f"(max |Im| = {imag:.3e})"
             )
@@ -77,7 +77,7 @@ def amplitude_quadrature_angle(carrier):
     """Angle of the amplitude quadrature: the phase of the mean carrier."""
     carrier = complex(carrier)
     if carrier == 0:
-        raise ZeroCarrierError(
+        raise NumericalError(
             "amplitude quadrature is undefined for a vanishing carrier"
         )
     return float(np.angle(carrier))

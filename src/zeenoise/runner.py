@@ -32,7 +32,7 @@ import numpy as np
 
 from .conventions import CONVENTIONS_VERSION, QUADRATURE_CONVENTIONS
 from .dynamics import build_generator, steady_state
-from .errors import PHYSICS_ERRORS, ArgumentError, NumericalError
+from .errors import ArgumentError, NumericalError
 from .langevin import diffusion_matrix
 from .observables import (
     amplitude_quadrature_angle,
@@ -183,7 +183,7 @@ def run_scenario(scenario, out_dir):
                 atoms = oracles = None  # free the previous run's arrays first
                 (atoms, oracles), key = solve_atoms(point), point_key
             columns, metadata = compute_point(point, atoms, oracles)
-        except (*PHYSICS_ERRORS, MemoryError) as exc:
+        except (NumericalError, MemoryError) as exc:
             exc.args = (f"scenario point '{label}': {exc}",)
             raise
         metadata["label"] = label

@@ -8,8 +8,8 @@ import pytest
 from zeenoise import (
     DriveConfig,
     LevelScheme,
+    NumericalError,
     PolarizationMode,
-    StationarityError,
     build_generator,
     diffusion_matrix,
     steady_state,
@@ -60,7 +60,7 @@ def test_rejects_non_stationary_state():
     _, liou, _ = setup_system("linear", 1.0)
     rho = np.zeros((8, 8), dtype=complex)
     rho[0, 0] = 1.0
-    with pytest.raises(StationarityError):
+    with pytest.raises(NumericalError):
         diffusion_matrix(liou, rho)
 
 

@@ -35,7 +35,7 @@ def test_public_names_are_the_documented_ones():
     }
     documented = _library_use_imports() | error_classes | {"CONVENTIONS_VERSION"}
     assert sorted(zeenoise.__all__) == sorted(documented)
-    assert len(zeenoise.__all__) == 24
+    assert len(zeenoise.__all__) == 20
     for name in zeenoise.__all__:
         assert hasattr(zeenoise, name)
 

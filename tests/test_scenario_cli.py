@@ -669,6 +669,37 @@ class TestCli:
         assert "vanishing carrier" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, message", [
+        ("singular_resolvent",
+         "fluctuation resolvent is singular at Omega = 1e-14 "),
+        ("non_stationary_state", "state is not stationary: |G rho| = "),
+    ], ids=["singular_resolvent", "non_stationary_state"])
+    def test_numerical_failure_exits_3_and_names_point(
+        self, tmp_path, capsys, monkeypatch, case, message
+    ):
+        """The resolvent's conditioning screen and diffusion_matrix's
+        stationarity check each end the run with exit 3 and write nothing."""
+        text = NOSWEEP
+        if case == "singular_resolvent":
+            text = text.replace(
+                "omega_min = 0.1\nomega_max = 2.0\ncount = 5",
+                "omega_min = 1e-14\nomega_max = 1e-13\ncount = 2",
+            )
+        else:
+            solved = runner.steady_state
+            monkeypatch.setattr(
+                runner, "steady_state",
+                lambda liou: solved(liou) + 1e-6 * np.eye(liou.n),
+            )
+        scn = write(tmp_path, text, name="failing.ini")
+        out = tmp_path / "results"
+        assert main(["validate", str(scn)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(scn), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"physics failure: scenario point 'failing': {message}" in err
+        assert not out.exists()
+
     def test_interpolation_error_exits_2_without_output(self, tmp_path, capsys):
         text = NOSWEEP.replace("b0 = 0.1", "b0 = 10%")
         scn = write(tmp_path, text, name="pct.ini")
