@@ -1,15 +1,16 @@
 """Angular-momentum algebra for a degenerate dipole transition.
 
-Clebsch-Gordan coefficients are evaluated from the Racah closed-form sum
-with exact rational arithmetic (fractions + integer factorials) and rounded
-to float only at the end, so there is no cancellation error for any F.
-Condon-Shortley phases throughout.
+Every angular momentum and projection is held as the integer 2j, so
+half-integers need no special case. Clebsch-Gordan coefficients come from
+the Racah closed-form sum in exact integer arithmetic, one Fraction per
+term, and are rounded to float only at the final sqrt, so there is no
+cancellation error for any F. Condon-Shortley phases throughout.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, sqrt
+from math import copysign, factorial, sqrt
 
 import numpy as np
 
@@ -20,20 +21,14 @@ from .errors import ArgumentError
 MAX_F = 10
 
 
-def _as_half_integer(x, name):
-    f = Fraction(x).limit_denominator(2)
-    if f != Fraction(x) or f.denominator not in (1, 2):
-        raise ArgumentError(f"{name} = {x!r} is not integer or half-integer")
-    return f
-
-
-def _fact(x):
-    """Factorial of a Fraction that must be a non-negative integer."""
-    if x.denominator != 1:
-        raise ArgumentError(f"factorial argument {x} is not an integer")
-    if x < 0:
-        return None  # signals an invalid term / failed triangle rule
-    return factorial(int(x))
+def _doubled(x, name):
+    """2x as an int, for x a finite integer or half-integer."""
+    try:
+        if 2 * x == int(2 * x):
+            return int(2 * x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ArgumentError(f"{name} = {x!r} is not a finite integer or half-integer")
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M):
@@ -41,58 +36,32 @@ def clebsch_gordan(j1, m1, j2, m2, J, M):
 
     Returns 0.0 when M != m1 + m2 or the triangle rule fails.
     """
-    j1 = _as_half_integer(j1, "j1")
-    m1 = _as_half_integer(m1, "m1")
-    j2 = _as_half_integer(j2, "j2")
-    m2 = _as_half_integer(m2, "m2")
-    J = _as_half_integer(J, "J")
-    M = _as_half_integer(M, "M")
-
-    for j, m, jn, mn in ((j1, m1, "j1", "m1"), (j2, m2, "j2", "m2"), (J, M, "J", "M")):
+    names = ("j1", "m1", "j2", "m2", "J", "M")
+    args = [_doubled(x, name) for x, name in zip((j1, m1, j2, m2, J, M), names)]
+    for j, m, jn, mn in zip(args[::2], args[1::2], names[::2], names[1::2]):
         if j < 0:
             raise ArgumentError(f"{jn} must be >= 0")
         if abs(m) > j:
             raise ArgumentError(f"|{mn}| > {jn}")
-        if (j - m).denominator != 1:
+        if (j - m) % 2:
             raise ArgumentError(f"{jn} and {mn} differ by a non-integer")
+    return _racah(*args)
 
-    if m1 + m2 != M:
-        return 0.0
-    if J < abs(j1 - j2) or J > j1 + j2 or (j1 + j2 - J).denominator != 1:
-        return 0.0
 
-    tri = [_fact(j1 + j2 - J), _fact(j1 - j2 + J), _fact(-j1 + j2 + J)]
-    if any(t is None for t in tri):
+def _racah(j1, m1, j2, m2, J, M):
+    """clebsch_gordan of valid doubled arguments."""
+    if m1 + m2 != M or not abs(j1 - j2) <= J <= j1 + j2 or (j1 + j2 - J) % 2:
         return 0.0
-    prefactor = (
-        Fraction(int(2 * J + 1))
-        * tri[0] * tri[1] * tri[2]
-        / _fact(j1 + j2 + J + 1)
-        * _fact(J + M) * _fact(J - M)
-        * _fact(j1 - m1) * _fact(j1 + m1)
-        * _fact(j2 - m2) * _fact(j2 + m2)
-    )
-
-    total = Fraction(0)
-    for k in range(int(j1 + j2 + J) + 2):
-        denoms = [
-            _fact(Fraction(k)),
-            _fact(j1 + j2 - J - k),
-            _fact(j1 - m1 - k),
-            _fact(j2 + m2 - k),
-            _fact(J - j2 + m1 + k),
-            _fact(J - j1 - m2 + k),
-        ]
-        if all(d is not None for d in denoms):
-            term = Fraction((-1) ** k)
-            for d in denoms:
-                term /= d
-            total += term
-
-    if total == 0:
-        return 0.0
-    sign = 1.0 if total > 0 else -1.0
-    return sign * sqrt(float(prefactor * total * total))
+    # The Racah sum's five integers. The prefactor's factorials are of sums of them:
+    # j1-j2+J = b+d, j2-j1+J = c+e, J+M = c+d, J-M = b+e, j1+m1 = a+d, j2-m2 = a+e.
+    a, b, c = (j1 + j2 - J) // 2, (j1 - m1) // 2, (j2 + m2) // 2
+    d, e = (J - j2 + m1) // 2, (J - j1 - m2) // 2
+    f = factorial
+    prefactor = Fraction((J + 1) * f(a) * f(b + d) * f(c + e) * f(c + d) * f(b + e)
+                         * f(a + d) * f(a + e) * f(b) * f(c), f(a + b + c + d + e + 1))
+    total = sum(Fraction((-1) ** k, f(k) * f(a - k) * f(b - k) * f(c - k) * f(d + k)
+                         * f(e + k)) for k in range(max(0, -d, -e), min(a, b, c) + 1))
+    return copysign(sqrt(float(prefactor * total * total)), total)
 
 
 @dataclass(frozen=True)
@@ -102,21 +71,24 @@ class LevelScheme:
     Sublevels are enumerated ground M = -Fg..Fg first, then excited
     M = -Fe..Fe, giving n = (2Fg+1) + (2Fe+1) basis states. `gamma` is the
     total excited-state decay rate and the global rate unit (default 1).
+    `two_fg` and `two_fe` hold 2Fg and 2Fe as ints.
     """
 
     fg: float
     fe: float
     gamma: float = 1.0
+    two_fg: int = field(init=False, repr=False, compare=False)
+    two_fe: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fg = _as_half_integer(self.fg, "Fg")
-        fe = _as_half_integer(self.fe, "Fe")
-        if fg < 0 or fe < 0:
-            raise ArgumentError("angular momenta must be >= 0")
-        for key, value in (("fg", self.fg), ("fe", self.fe)):
-            if value > MAX_F:
+        two_fg, two_fe = _doubled(self.fg, "Fg"), _doubled(self.fe, "Fe")
+        for key, value, two in (("fg", self.fg, two_fg), ("fe", self.fe, two_fe)):
+            if two < 0:
+                raise ArgumentError(f"{key} must be >= 0, got {value}")
+            if two > 2 * MAX_F:
                 raise ArgumentError(f"{key} must be <= {MAX_F}, got {value}")
-        if abs(fe - fg) > 1 or (fg == 0 and fe == 0):
+            object.__setattr__(self, f"two_{key}", two)
+        if abs(two_fe - two_fg) not in (0, 2) or two_fg == two_fe == 0:
             raise ArgumentError(
                 f"Fg={self.fg}, Fe={self.fe} is not a dipole-allowed pair"
             )
@@ -125,38 +97,39 @@ class LevelScheme:
 
     @property
     def n_ground(self):
-        return int(2 * Fraction(self.fg) + 1)
+        return self.two_fg + 1
 
     @property
     def n_excited(self):
-        return int(2 * Fraction(self.fe) + 1)
+        return self.two_fe + 1
 
     @property
     def n(self):
         return self.n_ground + self.n_excited
 
     def ground_index(self, m):
-        m = Fraction(m)
-        if abs(m) > Fraction(self.fg) or (m - Fraction(self.fg)).denominator != 1:
-            raise ArgumentError(f"no ground sublevel M={m}")
-        return int(m + Fraction(self.fg))
+        return _sublevel_index(m, self.two_fg, "ground")
 
     def excited_index(self, m):
-        m = Fraction(m)
-        if abs(m) > Fraction(self.fe) or (m - Fraction(self.fe)).denominator != 1:
-            raise ArgumentError(f"no excited sublevel M={m}")
-        return self.n_ground + int(m + Fraction(self.fe))
+        return self.n_ground + _sublevel_index(m, self.two_fe, "excited")
 
     def ground_m_values(self):
-        return [Fraction(self.fg) - k for k in range(self.n_ground)][::-1]
+        return [Fraction(k, 2) for k in range(-self.two_fg, self.two_fg + 1, 2)]
 
     def excited_m_values(self):
-        return [Fraction(self.fe) - k for k in range(self.n_excited)][::-1]
+        return [Fraction(k, 2) for k in range(-self.two_fe, self.two_fe + 1, 2)]
 
     def excited_projector(self):
         p = np.zeros((self.n, self.n))
         p[self.n_ground:, self.n_ground:] = np.eye(self.n_excited)
         return p
+
+
+def _sublevel_index(m, two_f, manifold):
+    k = _doubled(m, f"{manifold} M") + two_f
+    if k % 2 or not 0 <= k <= 2 * two_f:
+        raise ArgumentError(f"no {manifold} sublevel M={m}")
+    return k // 2
 
 
 def dipole_component(scheme, q):
@@ -169,18 +142,18 @@ def dipole_component(scheme, q):
     """
     if q not in (-1, 0, 1):
         raise ArgumentError(f"q must be -1, 0, or +1, got {q!r}")
-    return _dipole_table(scheme.fg, scheme.fe, q).copy()
+    return _dipole_table(scheme.two_fg, scheme.two_fe, int(q)).copy()
 
 
 @lru_cache(maxsize=None)
-def _dipole_table(fg, fe, q):
-    """d_q for Fg -> Fe, built once per process (it does not depend on gamma)."""
-    scheme = LevelScheme(fg, fe)
-    d = np.zeros((scheme.n, scheme.n))
-    for mg in scheme.ground_m_values():
-        me = mg + q
-        if abs(me) <= Fraction(scheme.fe):
-            c = clebsch_gordan(scheme.fg, mg, 1, q, scheme.fe, me)
-            if c != 0.0:
-                d[scheme.ground_index(mg), scheme.excited_index(me)] = c
+def _dipole_table(two_fg, two_fe, q):
+    """d_q for 2Fg -> 2Fe, built once per process (it does not depend on gamma)."""
+    n_ground = two_fg + 1
+    d = np.zeros((n_ground + two_fe + 1,) * 2)
+    for g, two_mg in enumerate(range(-two_fg, two_fg + 1, 2)):
+        two_me = two_mg + 2 * q
+        if abs(two_me) <= two_fe:
+            d[g, n_ground + (two_me + two_fe) // 2] = _racah(
+                two_fg, two_mg, 2, 2 * q, two_fe, two_me
+            )
     return d

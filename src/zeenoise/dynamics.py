@@ -120,12 +120,11 @@ def coherence_blocks(scheme, polarization):
     different labels, so each label indexes one diagonal block of both; a
     block may still split into several connected components.
     """
-    m = np.array(
-        [*scheme.ground_m_values(), *scheme.excited_m_values()], dtype=float
-    )
+    two_m = np.r_[np.arange(-scheme.two_fg, scheme.two_fg + 1, 2),
+                  np.arange(-scheme.two_fe, scheme.two_fe + 1, 2)]
     if polarization is PolarizationMode.CIRCULAR:
-        m[scheme.n_ground:] -= 1
-    return vec(np.subtract.outer(m, m)).round().astype(int)
+        two_m[scheme.n_ground:] -= 2
+    return vec(np.subtract.outer(two_m, two_m)) // 2
 
 
 def steady_state(liouvillian):
@@ -135,25 +134,30 @@ def steady_state(liouvillian):
     Raises NumericalError when the null space has dimension other than one
     (for example Omega1 = 0, or a detuning so far that the optical-pumping
     rates fall below the relative singular-value cutoff), or when the solve
-    is rank deficient or leaves max |G vec(rho)| above STATIONARITY_TOL.
+    is rank deficient, fails in LAPACK, or leaves max |G vec(rho)| above
+    STATIONARITY_TOL.
     """
     g = liouvillian.generator
     n = liouvillian.n
-    svals = np.linalg.svd(g, compute_uv=False)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    null_dim = int(np.sum(svals < _NULL_SPACE_CUTOFF * scale))
-    if null_dim != 1:
-        raise NumericalError(
-            f"steady state is not unique: generator null space has dimension "
-            f"{null_dim} at relative singular-value cutoff {_NULL_SPACE_CUTOFF:g} "
-            f"(undriven, dark-state degeneracy, or optical pumping below the cutoff)"
-        )
+    try:
+        svals = np.linalg.svd(g, compute_uv=False)
+        scale = svals[0] if svals[0] > 0 else 1.0
+        null_dim = int(np.sum(svals < _NULL_SPACE_CUTOFF * scale))
+        if null_dim != 1:
+            raise NumericalError(
+                f"steady state is not unique: generator null space has "
+                f"dimension {null_dim} at relative singular-value cutoff "
+                f"{_NULL_SPACE_CUTOFF:g} (undriven, dark-state degeneracy, or "
+                f"optical pumping below the cutoff)"
+            )
 
-    trace_row = vec(np.eye(n)).reshape(1, -1)
-    stacked = np.vstack([g, trace_row])
-    rhs = np.zeros(n * n + 1, dtype=complex)
-    rhs[-1] = 1.0
-    sol, _, rank, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
+        trace_row = vec(np.eye(n)).reshape(1, -1)
+        stacked = np.vstack([g, trace_row])
+        rhs = np.zeros(n * n + 1, dtype=complex)
+        rhs[-1] = 1.0
+        sol, _, rank, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"steady-state solve failed: {exc}") from exc
     if rank < n * n:
         raise NumericalError("steady-state solve is rank deficient")
 

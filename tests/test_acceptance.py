@@ -179,6 +179,10 @@ EVEN_GRID = np.concatenate((-QRT_GRID[::-1], QRT_GRID))
 )
 @example(case=("linear", 1, 2), rabi=1.0, detuning=0.0, b0=B0,
          eps_a=0.0, eps_p=0.0)
+# Known-red draw: rho's slow-pumping round-off (ROADMAP item 12) makes the
+# orthogonal column odd past the bound here.
+@example(case=("circular", 2, 3), rabi=0.3, detuning=1.5, b0=0.5,
+         eps_a=0.0, eps_p=0.0)
 def test_optical_spectrum_is_even_in_frequency(
     case, rabi, detuning, b0, eps_a, eps_p
 ):

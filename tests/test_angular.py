@@ -1,12 +1,13 @@
 """Angular-momentum layer: coupling coefficients and the level scheme."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zeenoise import ArgumentError, LevelScheme
-from zeenoise.angular import clebsch_gordan, dipole_component
+from zeenoise.angular import MAX_F, clebsch_gordan, dipole_component
 
 sympy = pytest.importorskip("sympy")
 from sympy.physics.quantum.cg import CG as SympyCG  # noqa: E402
@@ -100,6 +101,9 @@ def test_invalid_arguments_raise():
         clebsch_gordan(1, 0.5, 1, 0, 2, 0.5)  # m not compatible with j
     with pytest.raises(ArgumentError):
         clebsch_gordan(-1, 0, 1, 0, 1, 0)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ArgumentError):
+            clebsch_gordan(1, 0, 1, 0, bad, 0)
     # triangle violations are not argument errors: coefficient is zero
     assert clebsch_gordan(1, 0, 1, 0, 5, 0) == 0.0
 
@@ -126,6 +130,13 @@ class TestLevelScheme:
             LevelScheme(fg=1, fe=2, gamma=-1.0)
         with pytest.raises(ArgumentError):
             LevelScheme(fg=0.7, fe=1.7)  # not (half-)integer
+        with pytest.raises(ArgumentError):
+            LevelScheme(fg=1, fe=1.5)  # integer to half-integer
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ArgumentError):
+                LevelScheme(fg=bad, fe=1)
+            with pytest.raises(ArgumentError):
+                LevelScheme(fg=1, fe=bad)
 
     def test_half_integer_scheme(self):
         scheme = LevelScheme(fg=0.5, fe=1.5)
@@ -145,6 +156,49 @@ def test_dipole_lowering_block_structure():
             for k, me in enumerate(scheme.excited_m_values()):
                 if mg != me - q and d[g, scheme.n_ground + k] != 0:
                     raise AssertionError((q, mg, me))
+
+
+def _rank1_coupling(two_fg, two_fe, q, two_me):
+    """<Fg Me-q; 1 q | Fe Me> from the closed-form rank-1 table (Edmonds,
+    Table 2, Condon-Shortley phases), as sign * sqrt(float(exact square)).
+
+    a = 2Fg, b = 2Me, p = 2(Fg + Me), m = 2(Fg - Me); integers only.
+    """
+    a, b = two_fg, two_me
+    p, m = a + b, a - b
+    sign, num, den = {
+        (2, 1): (1, p * (p + 2), 4 * (a + 1) * (a + 2)),
+        (2, 0): (1, (m + 2) * (p + 2), 2 * (a + 1) * (a + 2)),
+        (2, -1): (1, m * (m + 2), 4 * (a + 1) * (a + 2)),
+        (0, 1): (-1, p * (m + 2), 2 * a * (a + 2)),
+        (0, 0): (1 if b >= 0 else -1, b * b, a * (a + 2)),
+        (0, -1): (1, m * (p + 2), 2 * a * (a + 2)),
+        (-2, 1): (1, m * (m + 2), 4 * a * (a + 1)),
+        (-2, 0): (-1, m * p, 2 * a * (a + 1)),
+        (-2, -1): (1, p * (p + 2), 4 * a * (a + 1)),
+    }[two_fe - two_fg, q]
+    return sign * math.sqrt(float(Fraction(num, den)))
+
+
+def test_dipole_tables_equal_the_closed_form_rank1_table_bitwise():
+    """Every dipole-allowed Fg -> Fe up to MAX_F, every q: each entry of d_q
+    equals the closed-form coefficient to the last bit. This reaches F > 2,
+    where the sympy cross-check stops, by a route independent of the Racah
+    sum."""
+    for two_fg in range(2 * MAX_F + 1):
+        for two_fe in (two_fg - 2, two_fg, two_fg + 2):
+            if not 0 <= two_fe <= 2 * MAX_F or two_fg == two_fe == 0:
+                continue
+            scheme = LevelScheme(Fraction(two_fg, 2), Fraction(two_fe, 2))
+            for q in (-1, 0, 1):
+                expected = np.zeros((scheme.n, scheme.n))
+                for g in range(scheme.n_ground):
+                    two_me = 2 * g - two_fg + 2 * q
+                    if abs(two_me) <= two_fe:
+                        e = scheme.n_ground + (two_me + two_fe) // 2
+                        expected[g, e] = _rank1_coupling(two_fg, two_fe, q, two_me)
+                d = dipole_component(scheme, q)
+                assert np.array_equal(d, expected), (two_fg, two_fe, q)
 
 
 def test_dipole_entries_are_cg_values():

@@ -783,6 +783,23 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_lapack_failure_in_steady_state_exits_3_and_names_point(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", unconverged)
+        scn = write(tmp_path, NOSWEEP, name="lapack.ini")
+        out = tmp_path / "results"
+        assert main(["run", str(scn), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "physics failure: scenario point 'lapack': steady-state solve "
+            "failed: SVD did not converge" in err
+        )
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_sidecar_value_exits_3_and_names_it(
         self, tmp_path, capsys, monkeypatch
@@ -849,6 +866,8 @@ class TestCli:
             "omega_min = -1e+308, omega_max = 1e+308 overflow the linear grid",
         ),
         ("fg = 1\nfe = 2", "fg = 40\nfe = 41", "transition: fg must be <= 10, got 40"),
+        ("fg = 1\nfe = 2", "fg = 1\nfe = 1.5",
+         "transition: Fg=1.0, Fe=1.5 is not a dipole-allowed pair"),
         ("count = 5", "count = 5\nsymmetrize = maybe",
          "[grid] symmetrize: expected a boolean"),
         (ZERO_RABI, ZERO_RABI_TLS, "drive.rabi must be > 0 when medium.b0 > 0"),
@@ -861,7 +880,8 @@ class TestCli:
         ("b0 = 0.1", "b0 = 0.1\n\n[input]\neps_a = 1e308\neps_p = 1e308",
          "input.eps_a + eps_p must be finite, got 1e+308 + 1e+308"),
     ], ids=[
-        "duplicate_oracle", "grid_span_overflow", "f_above_cap", "symmetrize_maybe",
+        "duplicate_oracle", "grid_span_overflow", "f_above_cap", "mixed_f_parity",
+        "symmetrize_maybe",
         "zero_rabi_circular", "zero_rabi_linear", "zero_rabi_mollow", "zero_gamma",
         "excess_noise_overflow",
     ])
