@@ -48,22 +48,24 @@ def mollow_spectrum(omega, rabi, detuning=0.0, gamma=1.0):
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     a = _bloch_matrix(rabi, detuning, gamma)
     b = np.array([1j * rabi / 2, -1j * rabi / 2, 0.0], dtype=complex)
-    s_minus, s_plus, p = np.linalg.solve(a, -b)
-
-    # regression seeds for <ds+(t) ds-(0)> (g) and its conjugate branch (h)
-    g0 = np.array(
-        [-s_minus**2, p - s_plus * s_minus, -p * s_minus], dtype=complex
-    )
-    h0 = np.array(
-        [p - s_plus * s_minus, -s_plus**2, -s_plus * p], dtype=complex
-    )
     eye = np.eye(3)
     w = omega[..., None, None]  # one 3x3 system per entry, solved as a stack
     # seeds as (3, 1) columns with the stack's number of axes: numpy < 2
     # reads a right-hand side one axis short of the stack as vectors
     col = (1,) * omega.ndim + (3, 1)
-    forward = np.linalg.solve(-1j * w * eye - a, g0.reshape(col))[..., 1, 0]
-    backward = np.linalg.solve(1j * w * eye - a, h0.reshape(col))[..., 0, 0]
+    try:
+        s_minus, s_plus, p = np.linalg.solve(a, -b)
+        # regression seeds for <ds+(t) ds-(0)> (g) and its conjugate branch (h)
+        g0 = np.array(
+            [-s_minus**2, p - s_plus * s_minus, -p * s_minus], dtype=complex
+        )
+        h0 = np.array(
+            [p - s_plus * s_minus, -s_plus**2, -s_plus * p], dtype=complex
+        )
+        forward = np.linalg.solve(-1j * w * eye - a, g0.reshape(col))[..., 1, 0]
+        backward = np.linalg.solve(1j * w * eye - a, h0.reshape(col))[..., 0, 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Mollow spectrum solve failed: {exc}") from exc
     return (forward + backward).real
 
 

@@ -21,22 +21,25 @@ of R(+|Omega|) viewed as n x n x n x n with both index pairs swapped. The
 mirror is exact: H is real symmetric and the decay terms are real, so
 conj(M) = P M P and i w I - M = P conj(-i w I - M) P hold bit for bit, and
 the conditioning screen and singular-matrix check on R(+|Omega|) also
-cover R(-|Omega|). The pair gives C(+|Omega|), then C(-|Omega|) in the
-same array, formed only on the rows where a vectorized dipole operator is
-nonzero (114 of 1600 at F=9->10 linear), each the same BLAS row of
-(R . 2D) . R^T as in the full product. Of each sign the step keeps, per
-polarization component, the three forms dg C lo, lo C lo and dg C dg, with
-lo and dg the vectorized dipole lowering operator and its adjoint; every
-grid point reads its four correlations from these six by its |Omega| and
-sign. Against a second inversion at -|Omega| the mirror moves the preset
-tables by at most 5e-12 of a column maximum, inside the 1e-10 reference
-gate; reordering the products instead pushes fig2's lowest-Omega rows past
-that gate, so the operand order stays. `propagate` then makes one output
-field from an `Atoms` per b0 and input matrix, and reads the correlations
-only at b0 > 0. The mean field is taken z-independent across the
-(optically thin) sample and back-action of field fluctuations on the atoms
-is neglected, so the output spectral matrix is the input plus an atomic
-term linear in b0, with no input/force cross terms.
+cover R(-|Omega|). The pair gives C(+|Omega|), then C(-|Omega|), each
+formed only on the rows S where a vectorized dipole operator is nonzero
+(114 of 1600 at F=9->10 linear), each the same BLAS row of
+(R . 2D) . R^T as in the full product. With x stacking dg and lo of every
+polarization component (lo and dg the vectorized dipole lowering operator
+and its adjoint), one small product x[:, S] . C[S, :] . x^T holds every
+projection; of each sign the step keeps, per component, dg C lo, lo C lo
+and dg C dg, and every grid point reads its four correlations from these
+six by its |Omega| and sign. No n^2 x n^2 kernel array is formed.
+Against a second inversion at -|Omega| the mirror moves the preset tables
+by at most 5e-12 of a column maximum, inside the 1e-10 reference gate;
+reordering the products that form C[S, :] instead pushes fig2's
+lowest-Omega rows past that gate, so their operand order stays.
+`propagate` then makes one output field from an `Atoms` per b0 and input
+matrix, and reads the correlations only at b0 > 0. The mean field is
+taken z-independent across the (optically thin) sample and back-action of
+field fluctuations on the atoms is neglected, so the output spectral
+matrix is the input plus an atomic term linear in b0, with no input/force
+cross terms.
 
 The atomic term is assembled in normally ordered form,
 
@@ -134,8 +137,9 @@ class Atoms:
     `_pairs` of 0.0 - M and of 2D. `operators` maps each polarization
     component to its dipole lowering operator. The correlations are solved
     on first use, so a b0 = 0 point inverts no resolvent; otherwise one
-    pass inverts one R(+|Omega|) per distinct |Omega| and keeps six forms
-    of C(+-|Omega|) per component (see the module docstring).
+    pass inverts one R(+|Omega|) per distinct |Omega|, forms the support
+    rows of C(+-|Omega|) and keeps six of their projections per component,
+    taken from one small product (see the module docstring).
     """
 
     def __init__(self, liouvillian, rho, two_d, grid):
@@ -156,21 +160,21 @@ class Atoms:
         """Component -> [dg C(-Omega) lo, lo C(Omega) lo, dg C(Omega) dg,
         dg C(Omega) lo] as complex arrays over the grid, where lo and dg are
         the vectorized dipole lowering operator and its adjoint; `propagate`
-        scales them into S11, S12, S21 and S22. forms[c][sign, j, k] holds
-        the j-th of dg C lo, lo C lo, dg C dg for C(+distinct[k]) at sign 0
-        and C(-distinct[k]) at sign 1. Rows of C(+-|Omega|) off the dipole
-        support stay 0: they meet only zero coefficients."""
+        scales them into S11, S12, S21 and S22. x stacks dg and lo of every
+        component; forms[sign, k, i] holds component i's dg C lo, lo C lo
+        and dg C dg, picked from x[:, S] @ C[S, :] @ x.T with S the dipole
+        support, for C(+distinct[k]) at sign 0 and C(-distinct[k]) at 1."""
         grid = self.grid
-        proj = {
-            c: (vec(op), vec(op.conj().T)) for c, op in self.operators.items()
-        }
-        support = np.flatnonzero(sum(abs(v) for pair in proj.values() for v in pair))
+        ops = self.operators.values()
+        x = np.stack([vec(v) for op in ops for v in (op.conj().T, op)])  # dg, lo, ...
+        support = np.flatnonzero(np.abs(x).sum(axis=0))
+        row = 2 * np.arange(len(ops))[:, None]  # row of each component's dg in x
+        pick = (row + [0, 1, 0], row + [1, 1, 0])  # dg C lo, lo C lo, dg C dg
         n = self.scheme.n
         scratch = np.zeros((n * n, n * n), dtype=complex)  # -i w I - M, then 2D
         two_d = scratch.T  # column-major, as diffusion_matrix builds 2D
-        kernel = np.zeros_like(scratch)  # off-support rows stay 0
         distinct, where = np.unique(np.abs(grid), return_inverse=True)
-        forms = {c: np.empty((2, 3, distinct.size), dtype=complex) for c in proj}
+        forms = np.empty((2, distinct.size, len(ops), 3), dtype=complex)
         for k, w in enumerate(distinct.tolist()):
             scratch.fill(0.0)
             scratch.put(*self.minus_drift_pairs)
@@ -180,16 +184,13 @@ class Atoms:
             swapped = r_plus.reshape(n, n, n, n).transpose(1, 0, 3, 2)  # P R(w) P
             r_minus = np.conjugate(swapped, order="C").reshape(r_plus.shape)
             for sign, (left, right) in enumerate(((r_plus, r_minus), (r_minus, r_plus))):
-                kernel[support] = left[support] @ two_d @ right.T
-                for comp, (lo, dg) in proj.items():
-                    dg_kernel = dg @ kernel
-                    forms[comp][sign, :, k] = (
-                        dg_kernel @ lo, lo @ kernel @ lo, dg_kernel @ dg
-                    )
-            del r_plus, r_minus, swapped, left, right  # freed before the next inversion
+                kernel = left[support] @ two_d @ right.T  # C(+-w)[S, :]
+                forms[sign, k] = (x[:, support] @ kernel @ x.T)[pick]
+            del r_plus, r_minus, swapped, left, right, kernel  # freed before inverting
         plus = (grid < 0).astype(int)  # sign index of C(Omega); C(-Omega) has 1 - plus
-        return {c: [f[1 - plus, 0, where], f[plus, 1, where], f[plus, 2, where],
-                    f[plus, 0, where]] for c, f in forms.items()}
+        return {c: [forms[1 - plus, where, i, 0], forms[plus, where, i, 1],
+                    forms[plus, where, i, 2], forms[plus, where, i, 0]]
+                for i, c in enumerate(self.operators)}
 
 
 def propagate(input_matrix, medium, atoms):

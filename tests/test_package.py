@@ -40,17 +40,22 @@ def test_public_names_are_the_documented_ones():
         assert hasattr(zeenoise, name)
 
 
+def _python(code):
+    """Run `code` in a fresh interpreter that imports this zeenoise."""
+    src = str(Path(zeenoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+
+
 def test_cli_import_leaves_peak_analysis_unloaded():
     code = (
         "import sys, zeenoise.cli; "
         "sys.exit(sorted(m for m in sys.modules if m == 'scipy' "
         "or m.startswith('scipy.') or m == 'zeenoise.analysis') or 0)"
     )
-    src = str(Path(zeenoise.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
+    done = _python(code)
     assert done.returncode == 0, done.stderr
 
 
@@ -139,3 +144,28 @@ def test_traced_runner_and_cli_names_are_called(tmp_path, monkeypatch):
     assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 13
     assert [key for key, count in calls.items() if count == 0] == []
+
+
+SWEEP = POINT.replace("count = 3", "count = 3\nsymmetrize = true") + """
+[sweep]
+parameter = b0
+values = 0.05, 0.1
+"""
+
+
+def test_run_leaves_masked_arrays_scipy_and_peak_analysis_unloaded(tmp_path):
+    """A whole `zeenoise run` (sweep, symmetrized grid, both oracles) loads
+    neither numpy.ma nor scipy nor the peak analysis. On numpy 2.4,
+    `np.unique` without a return_* option and `np.intersect1d` import
+    numpy.ma (+1.7 MB peak RSS)."""
+    scn = tmp_path / "sweep.ini"
+    scn.write_text(SWEEP)
+    code = (
+        "import sys; from zeenoise.cli import main; "
+        f"rc = main(['run', {str(scn)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "sys.exit(rc or sorted(m for m in sys.modules if m.split('.')[0] == "
+        "'scipy' or m in ('numpy.ma', 'zeenoise.analysis')) or 0)"
+    )
+    done = _python(code)
+    assert done.returncode == 0, done.stderr
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 2

@@ -800,6 +800,24 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_lapack_failure_in_mollow_oracle_exits_3_and_names_point(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        text = NOSWEEP.replace("oracles = qrt mollow", "oracles = mollow")
+        scn = write(tmp_path, text, name="mollow.ini")
+        out = tmp_path / "results"
+        assert main(["run", str(scn), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (
+            "physics failure: scenario point 'mollow': Mollow spectrum solve "
+            "failed: Singular matrix" in err
+        )
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_sidecar_value_exits_3_and_names_it(
         self, tmp_path, capsys, monkeypatch
