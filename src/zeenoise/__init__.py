@@ -20,7 +20,7 @@ Typical use:
 or drive everything from scenario files, through `load_scenario`,
 `validate_scenario` and `run_scenario` or the `zeenoise` CLI. The package
 also exports its error classes and CONVENTIONS_VERSION; every other name
-lives in its own module, and the peak analysis in `zeenoise.analysis`.
+lives in its own module. numpy is the only runtime dependency.
 """
 
 from .angular import LevelScheme

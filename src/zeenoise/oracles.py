@@ -1,15 +1,14 @@
-"""Independent reference results used to cross-check the main pipeline.
+"""Independent reference spectra behind the oracle columns of `zeenoise run`.
 
-Everything here is computed by a different route than the production code:
-the resonance-fluorescence spectrum comes from a hand-written 3-variable
+Both are computed by a different route than the production code: the
+resonance-fluorescence spectrum comes from a hand-written 3-variable
 Bloch-equation regression (not the vectorized drift/diffusion machinery),
-the regression spectrum works directly on the master-equation generator G
-(never on the drift M or the diffusion matrix 2D), solved one
+and the regression spectrum works directly on the master-equation
+generator G (never on the drift M or the diffusion matrix 2D), solved one
 coherence-order block of G at a time in stacks of at most _CHUNK
-frequencies, and the two-level steady state is closed-form.
+frequencies. The closed-form two-level steady state that the tests compare
+against lives with them, in tests/helpers.py.
 """
-
-from collections import namedtuple
 
 import numpy as np
 
@@ -119,31 +118,3 @@ def qrt_spectrum(liouvillian, rho, a_op, b_op, omega):
                 ) from exc
             out[start:start + _CHUNK] += sol @ proj[idx]
     return out[inverse.reshape(omega.shape)]
-
-
-TwoLevelReference = namedtuple(
-    "TwoLevelReference", ["excited_population", "coherence", "susceptibility"]
-)
-
-
-def two_level_reference(rabi, detuning=0.0, gamma=1.0):
-    """Closed-form steady state of a driven two-level atom.
-
-    excited_population: saturation formula (1/3 at rabi = gamma on
-    resonance); coherence: steady <s->; susceptibility: the weak-drive
-    normalized linear response i(gamma/2)/(gamma/2 - i detuning), whose real
-    and imaginary parts are in ratio -2 detuning / gamma.
-    """
-    if gamma <= 0:
-        raise ArgumentError("gamma must be positive")
-    half = gamma / 2
-    denom = detuning**2 + half**2 + rabi**2 / 2
-    p = (rabi**2 / 4) / denom
-    lorentz = detuning**2 + half**2
-    coherence = -1j * (rabi / 2) * (2 * p - 1) * (half + 1j * detuning) / lorentz
-    susceptibility = 1j * half / (half - 1j * detuning)
-    return TwoLevelReference(
-        excited_population=float(p),
-        coherence=complex(coherence),
-        susceptibility=complex(susceptibility),
-    )

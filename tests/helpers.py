@@ -1,17 +1,21 @@
-"""Peak analysis of spectrum traces: peak census and zero-centred half widths.
+"""Test-side references: peak analysis of spectrum traces and the
+closed-form two-level steady state.
 
-Used to read figures off computed spectra (multiplet counts, Raman peak
-widths). The run pipeline never calls it, so the `scipy.signal` import
-stays out of `zeenoise` and `zeenoise.cli`.
+`peak_census` and `zero_peak_half_width` read figures off computed spectra
+(multiplet counts, Raman peak widths) with `scipy.signal`, and
+`two_level_reference` is the closed form that the dynamics, oracle and
+propagation tests compare against. The run pipeline calls none of them,
+so they live here and scipy stays out of the package's dependencies.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import signal
 
-from .errors import ArgumentError
+from zeenoise.errors import ArgumentError
 
 
 @dataclass
@@ -86,3 +90,31 @@ def zero_peak_half_width(trace, baseline=0.0):
     y0, y1 = values[k - 1], values[k]
     frac = (y0 - target) / (y0 - y1)
     return float(np.exp(x0 + frac * (x1 - x0)))
+
+
+TwoLevelReference = namedtuple(
+    "TwoLevelReference", ["excited_population", "coherence", "susceptibility"]
+)
+
+
+def two_level_reference(rabi, detuning=0.0, gamma=1.0):
+    """Closed-form steady state of a driven two-level atom.
+
+    excited_population: saturation formula (1/3 at rabi = gamma on
+    resonance); coherence: steady <s->; susceptibility: the weak-drive
+    normalized linear response i(gamma/2)/(gamma/2 - i detuning), whose real
+    and imaginary parts are in ratio -2 detuning / gamma.
+    """
+    if gamma <= 0:
+        raise ArgumentError("gamma must be positive")
+    half = gamma / 2
+    denom = detuning**2 + half**2 + rabi**2 / 2
+    p = (rabi**2 / 4) / denom
+    lorentz = detuning**2 + half**2
+    coherence = -1j * (rabi / 2) * (2 * p - 1) * (half + 1j * detuning) / lorentz
+    susceptibility = 1j * half / (half - 1j * detuning)
+    return TwoLevelReference(
+        excited_population=float(p),
+        coherence=complex(coherence),
+        susceptibility=complex(susceptibility),
+    )

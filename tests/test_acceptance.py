@@ -29,11 +29,12 @@ from zeenoise import (
     quadrature_noise,
     steady_state,
 )
-from zeenoise.analysis import peak_census, zero_peak_half_width
 from zeenoise.angular import dipole_component
 from zeenoise.oracles import mollow_spectrum, qrt_spectrum
 from zeenoise.propagation import Atoms
 from zeenoise.cli import main
+
+from helpers import peak_census, zero_peak_half_width
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 B0 = 0.1
@@ -132,6 +133,16 @@ DRIVE_CASES = [
     ("circular", 1.5, 2.5), ("circular", 2, 3),
 ]
 QRT_GRID = np.logspace(np.log10(1e-2), np.log10(20.0), 12)
+FORMS_GRID = np.array([-3.0, -0.7, -0.05, 0.02, 0.3, 1.1, 4.0])
+
+
+def regression_correlation(liou, rho, a_op, b_op, omega):
+    """FT<dA(t) dB(0)>(omega) from the regression theorem on G alone: the
+    t > 0 branch is qrt_spectrum(A, B) and, since G preserves
+    Hermiticity, the t < 0 branch is conj(qrt_spectrum(B+, A+))."""
+    forward = qrt_spectrum(liou, rho, a_op, b_op, omega)
+    backward = qrt_spectrum(liou, rho, b_op.conj().T, a_op.conj().T, omega)
+    return forward + np.conj(backward)
 
 
 @settings(max_examples=20, deadline=None)
@@ -144,24 +155,39 @@ QRT_GRID = np.logspace(np.log10(1e-2), np.log10(20.0), 12)
 @example(case=("circular", 1, 2), rabi=0.1, detuning=1.0)
 @example(case=("linear", 1, 2), rabi=0.1, detuning=0.0)
 @example(case=("linear", 1, 2), rabi=0.1, detuning=1.0)
+@example(case=("linear", 4, 5), rabi=0.8, detuning=-0.6)
 def test_fluctuation_spectra_match_regression_theorem(case, rabi, detuning):
-    """Einstein-diffusion route == quantum-regression route, both output
-    modes, within 1e-8 of the larger reference maximum."""
+    """Einstein-diffusion route == quantum-regression route for all four
+    entries of the atomic spectral matrix, so for the optical spectrum and
+    the quadrature noise at any angle, both output modes, on a signed grid,
+    within 1e-8 of the driven mode's largest reference entry. With D each
+    mode's dipole lowering operator and k2 = b0 gamma / 4:
+    S11 = k2 FT<dD+ dD>(-Omega), S12 = -k2 FT<dD dD>(Omega),
+    S21 = -k2 FT<dD+ dD+>(Omega), S22 = k2 FT<dD+ dD>(Omega). The reference
+    reads only G, rho and qrt_spectrum, never the drift M or 2D."""
     pol, fg, fe = case
     scheme = LevelScheme(fg=fg, fe=fe, gamma=1.0)
     liou, steady, basis, out = run_pipeline(
-        pol, rabi, detuning, B0, QRT_GRID, scheme=scheme
+        pol, rabi, detuning, B0, FORMS_GRID, scheme=scheme
     )
     reference = {}
     for comp in (1, 2):
-        op = basis.operator(scheme, comp)
-        one_sided = qrt_spectrum(liou, steady, op.conj().T, op, QRT_GRID)
-        reference[comp] = KAPPA2 * 2.0 * one_sided.real
-    scale = max(np.abs(reference[c]).max() for c in (1, 2))
+        lo = basis.operator(scheme, comp)
+        dg = lo.conj().T
+        reference[comp] = KAPPA2 * np.array([
+            regression_correlation(liou, steady, dg, lo, -FORMS_GRID),
+            -regression_correlation(liou, steady, lo, lo, FORMS_GRID),
+            -regression_correlation(liou, steady, dg, dg, FORMS_GRID),
+            regression_correlation(liou, steady, dg, lo, FORMS_GRID),
+        ])
+    scale = np.abs(reference[1]).max()
     for comp in (1, 2):
-        diff = np.abs(out.atomic[comp].s22.real - reference[comp]).max()
-        assert diff <= 1e-8 * scale, (
-            f"mode {comp}: max deviation {diff:.3e} vs scale {scale:.3e}"
+        atomic = out.atomic[comp]
+        got = np.array([atomic.s11, atomic.s12, atomic.s21, atomic.s22])
+        diff = np.abs(got - reference[comp]).max(axis=1)
+        assert diff.max() <= 1e-8 * scale, (
+            f"mode {comp}: max deviation of S11, S12, S21, S22 {diff} "
+            f"vs scale {scale:.3e}"
         )
 
 

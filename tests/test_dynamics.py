@@ -20,7 +20,8 @@ from zeenoise import (
 from zeenoise.angular import dipole_component
 from zeenoise.conventions import expectation_vector, unvec, vec
 from zeenoise.dynamics import coherence_blocks, hamiltonian
-from zeenoise.oracles import two_level_reference
+
+from helpers import two_level_reference
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 CIRC = PolarizationMode.CIRCULAR

@@ -11,9 +11,10 @@ from zeenoise import (
     optical_spectrum,
     quadrature_noise,
 )
-from zeenoise.analysis import peak_census, zero_peak_half_width
 from zeenoise.field import SpectralMatrix
 from zeenoise.observables import SpectrumTrace
+
+from helpers import peak_census, zero_peak_half_width
 
 
 def lorentzian(x, center, hwhm, height):

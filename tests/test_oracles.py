@@ -23,8 +23,9 @@ from zeenoise.oracles import (
     _bloch_matrix,
     mollow_spectrum,
     qrt_spectrum,
-    two_level_reference,
 )
+
+from helpers import two_level_reference
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 CIRC = PolarizationMode.CIRCULAR
@@ -104,6 +105,13 @@ class TestMollowSpectrum:
             mollow_spectrum(np.array([1.0]), 0.0)
         with pytest.raises(ArgumentError):
             mollow_spectrum(np.array([1.0]), 1.0, gamma=-1.0)
+        with pytest.raises(ArgumentError):
+            mollow_spectrum(np.array([1.0]), 1.0, gamma=0.0)
+
+    def test_defaults_are_resonant_drive_and_unit_decay(self):
+        w = np.array([-2.0, 0.4, 3.0])
+        default = mollow_spectrum(w, 1.3)
+        assert np.array_equal(default, mollow_spectrum(w, 1.3, 0.0, 1.0))
 
 
 class TestQrtSpectrum:
@@ -147,7 +155,7 @@ class TestQrtSpectrum:
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(NumericalError, match=r"at an Omega in \[0.5, 2.0\]"):
             qrt_spectrum(
-                self.liou, self.steady, op.conj().T, op, np.array([2.0, 0.5])
+                self.liou, self.steady, op.conj().T, op, np.array([2.0, 0.5, 1.0])
             )
 
     def test_matches_mollow_oracle_on_stretched_pair(self):

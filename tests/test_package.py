@@ -3,9 +3,12 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import zeenoise
 from zeenoise import errors, oracles
@@ -49,14 +52,43 @@ def _python(code):
     )
 
 
-def test_cli_import_leaves_peak_analysis_unloaded():
+def test_cli_import_leaves_scipy_unloaded():
     code = (
         "import sys, zeenoise.cli; "
         "sys.exit(sorted(m for m in sys.modules if m == 'scipy' "
-        "or m.startswith('scipy.') or m == 'zeenoise.analysis') or 0)"
+        "or m.startswith('scipy.')) or 0)"
     )
     done = _python(code)
     assert done.returncode == 0, done.stderr
+
+
+def _dependency_name(requirement):
+    return re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower()
+
+
+def test_runtime_needs_numpy_and_the_standard_library_only():
+    """Every import in src/zeenoise is relative, zeenoise, numpy or the
+    standard library, and numpy is the package's one dependency."""
+    allowed = {"zeenoise", "numpy"} | set(sys.stdlib_module_names)
+    outside = []
+    for path in sorted(Path(zeenoise.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert outside == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [_dependency_name(d) for d in project["dependencies"]] == ["numpy"]
+    test_extra = project["optional-dependencies"]["test"]
+    assert "scipy" in [_dependency_name(d) for d in test_extra]
 
 
 def test_oracles_stay_off_the_kernel_route():
@@ -153,9 +185,9 @@ values = 0.05, 0.1
 """
 
 
-def test_run_leaves_masked_arrays_scipy_and_peak_analysis_unloaded(tmp_path):
+def test_run_leaves_masked_arrays_and_scipy_unloaded(tmp_path):
     """A whole `zeenoise run` (sweep, symmetrized grid, both oracles) loads
-    neither numpy.ma nor scipy nor the peak analysis. On numpy 2.4,
+    neither numpy.ma nor scipy. On numpy 2.4,
     `np.unique` without a return_* option and `np.intersect1d` import
     numpy.ma (+1.7 MB peak RSS)."""
     scn = tmp_path / "sweep.ini"
@@ -164,7 +196,7 @@ def test_run_leaves_masked_arrays_scipy_and_peak_analysis_unloaded(tmp_path):
         "import sys; from zeenoise.cli import main; "
         f"rc = main(['run', {str(scn)!r}, '--out', {str(tmp_path / 'out')!r}]); "
         "sys.exit(rc or sorted(m for m in sys.modules if m.split('.')[0] == "
-        "'scipy' or m in ('numpy.ma', 'zeenoise.analysis')) or 0)"
+        "'scipy' or m == 'numpy.ma') or 0)"
     )
     done = _python(code)
     assert done.returncode == 0, done.stderr

@@ -26,10 +26,11 @@ from zeenoise import (
     steady_state,
 )
 from zeenoise.conventions import vec
-from zeenoise.oracles import two_level_reference
 from zeenoise.propagation import Atoms, _pairs, atomic_response
 from zeenoise.runner import compute_point, run_scenario, solve_atoms
 from zeenoise.scenario import GridSpec, Scenario, SweepSpec, validate_scenario
+
+from helpers import two_level_reference
 
 GRID = np.array([1e-3, 0.1, 0.7, 3.0, 12.0])
 

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 from zeenoise import (
     ArgumentError,
     DriveConfig,
+    LevelScheme,
     MediumParams,
     PolarizationMode,
     ScenarioError,
+    amplitude_quadrature_angle,
     build_generator,
     diffusion_matrix,
     excess_noise_input,
     load_scenario,
+    optical_spectrum,
     propagate,
     quadrature_noise,
     steady_state,
@@ -1050,6 +1053,98 @@ def test_b0_sweep_writes_the_tables_of_one_scenario_per_value(
         assert meta[0].pop("sweep_value") == value
         assert meta[1].pop("sweep_parameter") is meta[1].pop("sweep_value") is None
         assert meta[0] == meta[1]
+
+
+def read_table(path):
+    """Column name -> values of a written CSV table; NaN marks an empty field."""
+    header, *rows = path.read_text().splitlines()
+    fields = [[float(f) if f else np.nan for f in row.split(",")] for row in rows]
+    return dict(zip(header.split(", "), np.array(fields).T))
+
+
+READ_BACK = NOSWEEP.replace("rabi = 1.0", "rabi = 1.2\ndetuning = 0.4").replace(
+    "b0 = 0.1", "b0 = 0.2"
+)
+
+
+@pytest.mark.parametrize("polarization", ["linear", "circular"])
+def test_written_tables_match_the_pipeline_and_the_oracle_gates(
+    tmp_path, polarization
+):
+    """What `zeenoise run` writes, read back: every column and sidecar value
+    of each component equals what `propagate`, `optical_spectrum` and
+    `quadrature_noise` give for that same component, and the oracle columns
+    pass the reference gates of the output check: |s_opt_eK - qrt_opt_eK| <=
+    1e-8 max|qrt_opt|, and a relative L2 mismatch of s_opt_e1 below 1e-6
+    against the Mollow column after a least-squares scale."""
+    text = READ_BACK.replace("polarization = circular", f"polarization = {polarization}")
+    assert main(["run", str(write(tmp_path, text, name="rb.ini")), "--out",
+                 str(tmp_path)]) == 0
+    table = read_table(tmp_path / "rb.csv")
+    meta = json.loads((tmp_path / "rb.json").read_text())
+    assert list(table) == meta["columns"] == [
+        "omega_over_gamma", "s_opt_e1", "s_opt_e2", "s_x_e1", "s_x_e2",
+        "qrt_opt_e1", "qrt_opt_e2", "mollow_opt_e1",
+    ]
+
+    grid = table["omega_over_gamma"]
+    scheme = LevelScheme(fg=1, fe=2, gamma=1.0)
+    liou = build_generator(
+        scheme, DriveConfig(PolarizationMode(polarization), 1.2, 0.4)
+    )
+    rho = steady_state(liou)
+    atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), grid)
+    out = propagate(excess_noise_input(0.0, 0.0), MediumParams(0.2), atoms)
+    theta = amplitude_quadrature_angle(out.carrier[1])
+    assert meta["quadrature_theta"] == pytest.approx(theta, rel=1e-12)
+    for c in (1, 2):
+        carrier = complex(*meta[f"carrier_e{c}"])
+        assert carrier == pytest.approx(out.carrier[c], rel=1e-12, abs=1e-15)
+        assert meta[f"phi_e{c}"] == pytest.approx(out.phi[c], rel=1e-12, abs=1e-15)
+        for name, trace in (
+            (f"s_opt_e{c}", optical_spectrum(out.spectra[c])),
+            (f"s_x_e{c}", quadrature_noise(out.spectra[c], theta)),
+        ):
+            scale = np.abs(trace.values).max()
+            assert np.abs(table[name] - trace.values).max() <= 1e-12 * scale, name
+    assert meta["phi_e1"] != 0.0  # detuned, so a phi_e1 of 0 is wrong
+
+    qrt = [table[f"qrt_opt_e{c}"] for c in (1, 2)]
+    scale = max(np.abs(q).max() for q in qrt)
+    for c in (1, 2):
+        assert np.abs(table[f"s_opt_e{c}"] - qrt[c - 1]).max() <= 1e-8 * scale
+    model, trace = table["mollow_opt_e1"], table["s_opt_e1"]
+    if polarization == "linear":
+        assert np.isnan(model).all()  # the empty column of an inapplicable oracle
+    else:
+        fit = np.dot(trace, model) / np.dot(model, model)
+        assert np.linalg.norm(trace - fit * model) < 1e-6 * np.linalg.norm(trace)
+
+
+def test_undriven_transparent_point_writes_the_input_field(tmp_path):
+    """b0 = 0 and rabi = 0 on F = 0 -> 1, the one transition whose undriven
+    steady state is unique: `zeenoise run` writes the coherent input
+    unchanged, while `propagate` on the same atoms at b0 > 0 refuses the
+    carrier update."""
+    text = NOSWEEP.replace("fg = 1\nfe = 2", "fg = 0\nfe = 1").replace(
+        "rabi = 1.0", "rabi = 0"
+    ).replace("b0 = 0.1", "b0 = 0").replace("oracles = qrt mollow", "oracles = qrt")
+    assert main(["run", str(write(tmp_path, text, name="dark.ini")), "--out",
+                 str(tmp_path)]) == 0
+    table = read_table(tmp_path / "dark.csv")
+    meta = json.loads((tmp_path / "dark.json").read_text())
+    for c in (1, 2):
+        assert (table[f"s_opt_e{c}"] == 0).all() and (table[f"s_x_e{c}"] == 1).all()
+        assert (table[f"qrt_opt_e{c}"] == 0).all()
+        assert meta[f"phi_e{c}"] == 0.0
+    assert meta["carrier_e1"] == [1.0, 0.0] and meta["carrier_e2"] == [0.0, 0.0]
+
+    scheme = LevelScheme(fg=0, fe=1, gamma=1.0)
+    liou = build_generator(scheme, DriveConfig(PolarizationMode.CIRCULAR, 0.0))
+    rho = steady_state(liou)
+    atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), table["omega_over_gamma"])
+    with pytest.raises(ArgumentError, match="zero Rabi frequency"):
+        propagate(excess_noise_input(0.0, 0.0), MediumParams(0.1), atoms)
 
 
 class TestPresets:
