@@ -139,9 +139,15 @@ def steady_state(liouvillian):
     """
     g = liouvillian.generator
     n = liouvillian.n
+    labels = coherence_blocks(liouvillian.scheme, liouvillian.drive.basis)
+    blocks = [np.flatnonzero(labels == label) for label in set(labels.tolist())]
     try:
-        svals = np.linalg.svd(g, compute_uv=False)
-        scale = svals[0] if svals[0] > 0 else 1.0
+        # G is block-diagonal in the labels: its singular values are the blocks'
+        svals = np.concatenate(
+            [np.linalg.svd(g[np.ix_(b, b)], compute_uv=False) for b in blocks]
+        )
+        top = svals.max()
+        scale = top if top > 0 else 1.0
         null_dim = int(np.sum(svals < _NULL_SPACE_CUTOFF * scale))
         if null_dim != 1:
             raise NumericalError(

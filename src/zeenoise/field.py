@@ -11,7 +11,7 @@ entries 0. `observables.quadrature_noise` reads quadrature spectra off it.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,24 +54,21 @@ class PolarizationMode(enum.Enum):
 class SpectralMatrix:
     """Entries of the 2x2 spectral correlation matrix.
 
-    Entries are scalars (frequency-independent inputs) or arrays over the
-    frequency grid carried in `grid` (pipeline outputs).
+    Entries are scalars (frequency-independent inputs) or arrays over a
+    frequency grid (pipeline outputs; the grid is `OutputField.grid`).
     """
 
     s11: np.ndarray
     s12: np.ndarray
     s21: np.ndarray
     s22: np.ndarray
-    grid: np.ndarray = field(default=None, repr=False)
 
     def __add__(self, other):
-        grid = self.grid if self.grid is not None else other.grid
         return SpectralMatrix(
             self.s11 + other.s11,
             self.s12 + other.s12,
             self.s21 + other.s21,
             self.s22 + other.s22,
-            grid=grid,
         )
 
 

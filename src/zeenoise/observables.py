@@ -15,48 +15,23 @@ A homodyne measurement at quadrature angle theta sees
 real by construction (S21 = S12*, S11 and S22 real); shot noise = 1.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ArgumentError, NumericalError
+from .errors import NumericalError
 
 _IMAG_TOL = 1e-8
 
 
-@dataclass
-class SpectrumTrace:
-    """Real-valued spectrum sampled on a frequency grid (units of gamma)."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.shape != self.values.shape:
-            raise ArgumentError("grid and values must have matching shapes")
-
-
-def _grid_of(spectral_matrix, values):
-    """The matrix's grid; a grid-less (input) matrix gets zeros of the
-    values' shape."""
-    if spectral_matrix.grid is None:
-        return np.zeros(np.shape(values))
-    return np.asarray(spectral_matrix.grid, dtype=float)
-
-
 def optical_spectrum(spectral_matrix):
-    """Optical spectrum Re S22 at each grid point; even in Omega (see the
-    module docstring), so each point is read as computed."""
-    s22 = np.real(spectral_matrix.s22)
-    grid = _grid_of(spectral_matrix, s22)
-    values = np.broadcast_to(s22, grid.shape).astype(float)  # a fresh copy
-    return SpectrumTrace(grid=grid, values=values)
+    """Optical spectrum Re S22 at each grid point, as a fresh float array;
+    even in Omega (see the module docstring), so each point is read as
+    computed."""
+    return np.asarray(spectral_matrix.s22).real.astype(float)
 
 
 def quadrature_noise(spectral_matrix, theta):
-    """Homodyne noise spectrum at quadrature angle theta (shot noise = 1)."""
+    """Homodyne noise spectrum at quadrature angle theta (shot noise = 1),
+    as a float array."""
     m = spectral_matrix
     combo = np.asarray(
         m.s11 + m.s22 + m.s12 * np.exp(-2j * theta) + m.s21 * np.exp(+2j * theta),
@@ -70,7 +45,7 @@ def quadrature_noise(spectral_matrix, theta):
                 "quadrature spectrum has a non-negligible imaginary part "
                 f"(max |Im| = {imag:.3e})"
             )
-    return SpectrumTrace(grid=_grid_of(m, combo.real), values=combo.real)
+    return combo.real
 
 
 def amplitude_quadrature_angle(carrier):

@@ -77,6 +77,10 @@ class MediumParams:
         if self.b0 < 0:
             raise ArgumentError(f"b0 must be >= 0, got {self.b0}")
 
+    def atomic_scale(self, gamma):
+        """k2 = b0 gamma / 4, the scale of the atomic term (and oracles)."""
+        return 0.25 * self.b0 * gamma
+
 
 @dataclass
 class OutputField:
@@ -206,7 +210,7 @@ def propagate(input_matrix, medium, atoms):
     scheme = atoms.scheme
     drive = atoms.drive
     b0 = medium.b0
-    k2 = 0.25 * b0 * scheme.gamma
+    k2 = medium.atomic_scale(scheme.gamma)
     if b0 > 0 and drive.rabi == 0:
         raise ArgumentError("carrier update undefined at zero Rabi frequency")
 
@@ -221,7 +225,7 @@ def propagate(input_matrix, medium, atoms):
         else:
             entries = (np.zeros(grid.shape, dtype=complex) for _ in range(4))
             chi = 0.0j
-        out.atomic[comp] = SpectralMatrix(*entries, grid=grid)
+        out.atomic[comp] = SpectralMatrix(*entries)
         out.spectra[comp] = inputs[comp] + out.atomic[comp]
         out.carrier[comp] = np.exp(1j * chi) if comp == 1 else 0.0j
         out.phi[comp] = float(chi.real)

@@ -120,14 +120,14 @@ def compute_point(scenario, atoms, oracles):
 
     columns = {
         "omega_over_gamma": atoms.grid,
-        "s_opt_e1": optical_spectrum(out.spectra[1]).values,
-        "s_opt_e2": optical_spectrum(out.spectra[2]).values,
-        "s_x_e1": quadrature_noise(out.spectra[1], theta).values,
-        "s_x_e2": quadrature_noise(out.spectra[2], theta).values,
+        "s_opt_e1": optical_spectrum(out.spectra[1]),
+        "s_opt_e2": optical_spectrum(out.spectra[2]),
+        "s_x_e1": quadrature_noise(out.spectra[1], theta),
+        "s_x_e2": quadrature_noise(out.spectra[2], theta),
     }
-    kappa2 = 0.25 * scenario.b0 * scheme.gamma
+    k2 = medium.atomic_scale(scheme.gamma)
     for name, col in oracles.items():
-        columns[name] = None if col is None else kappa2 * col
+        columns[name] = None if col is None else k2 * col
     _require_finite("column", columns)
 
     metadata = {

@@ -1,4 +1,4 @@
-"""Test-side references: peak analysis of spectrum traces and the
+"""Test-side references: peak analysis of computed spectra and the
 closed-form two-level steady state.
 
 `peak_census` and `zero_peak_half_width` read figures off computed spectra
@@ -26,15 +26,13 @@ class PeakInfo:
     half_width: Optional[float]  # None when the half-height span is clipped
 
 
-def peak_census(trace, prominence=0.02):
-    """Locate interior local maxima of a spectrum trace.
+def peak_census(grid, values, prominence=0.02):
+    """Locate interior local maxima of a spectrum sampled on `grid`.
 
-    `prominence` is relative to the full value range of the trace. Half
+    `prominence` is relative to the full value range of `values`. Half
     widths (HWHM, from the half-prominence span) are reported in grid units
     and are None where the span runs off the sampled window.
     """
-    values = trace.values
-    grid = trace.grid
     if values.size < 3:
         return []
     vrange = float(values.max() - values.min())
@@ -68,17 +66,17 @@ def peak_census(trace, prominence=0.02):
     return peaks
 
 
-def zero_peak_half_width(trace, baseline=0.0):
+def zero_peak_half_width(grid, values, baseline=0.0):
     """Half width of a peak sitting at the low-frequency end of the grid.
 
     Treats the first sample as the peak height and returns the frequency at
-    which the trace first falls to the midpoint between peak and `baseline`,
+    which the values first fall to the midpoint between peak and `baseline`,
     interpolated linearly in log-frequency. Returns None without a crossing.
     Intended for narrow Raman-type features centered at Omega = 0 sampled on
     a logarithmic grid that cannot contain the maximum itself.
     """
-    grid = np.asarray(trace.grid, dtype=float)
-    values = np.asarray(trace.values, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
     if grid.size < 2 or np.any(grid <= 0):
         raise ArgumentError("requires a strictly positive frequency grid")
     target = 0.5 * (values[0] + baseline)

@@ -101,6 +101,14 @@ def test_invalid_arguments_raise():
         clebsch_gordan(1, 0.5, 1, 0, 2, 0.5)  # m not compatible with j
     with pytest.raises(ArgumentError):
         clebsch_gordan(-1, 0, 1, 0, 1, 0)
+    for args, message in (  # each (j, m) pair is checked, J and M too
+        ((1, 0, 1, 2, 2, 2), r"\|m2\| > j2"),
+        ((1, 1, 1, 1, 1, 2), r"\|M\| > J"),
+        ((1, 0, 1, 0, -1, 0), "J must be >= 0"),
+        ((1, 0, 0.5, 0.5, 1, 0.5), "J and M differ by a non-integer"),
+    ):
+        with pytest.raises(ArgumentError, match=message):
+            clebsch_gordan(*args)
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ArgumentError):
             clebsch_gordan(1, 0, 1, 0, bad, 0)
@@ -120,6 +128,10 @@ class TestLevelScheme:
         assert scheme.excited_index(+2) == 7
         assert list(scheme.ground_m_values()) == [-1, 0, 1]
         assert list(scheme.excited_m_values()) == [-2, -1, 0, 1, 2]
+        assert scheme.gamma == 1.0  # the default rate unit
+        for bad_m in (0.5, 2, -2):  # off parity, or past |M| <= Fg
+            with pytest.raises(ArgumentError, match="no ground sublevel"):
+                scheme.ground_index(bad_m)
 
     def test_rejects_forbidden_transitions(self):
         with pytest.raises(ArgumentError):
@@ -128,6 +140,12 @@ class TestLevelScheme:
             LevelScheme(fg=0, fe=0)  # 0 -> 0 is dipole-forbidden
         with pytest.raises(ArgumentError):
             LevelScheme(fg=1, fe=2, gamma=-1.0)
+        for gamma in (0.0, 0.37):  # any gamma >= 0 is a rate unit
+            assert LevelScheme(fg=1, fe=2, gamma=gamma).gamma == gamma
+        assert LevelScheme(fg=9, fe=10).n == 40  # F <= 10, as documented
+        for fg, fe in ((10, 11), (10.5, 9.5)):
+            with pytest.raises(ArgumentError, match="must be <= 10,"):
+                LevelScheme(fg=fg, fe=fe)
         with pytest.raises(ArgumentError):
             LevelScheme(fg=0.7, fe=1.7)  # not (half-)integer
         with pytest.raises(ArgumentError):

@@ -168,6 +168,7 @@ def test_generator_and_drift_are_block_diagonal_in_coherence_order(
     scheme = LevelScheme(fg=fg, fe=fe, gamma=1.3)
     liou = build_generator(scheme, DriveConfig(basis=mode, rabi=0.7, detuning=0.3))
     label = coherence_blocks(scheme, mode)
+    assert label.dtype.kind == "i"  # m_a - m_b, an integer coherence order
     across = label[:, None] != label[None, :]
     assert np.all(liou.generator[across] == 0.0)
     assert np.all(liou.drift[across] == 0.0)
@@ -209,8 +210,8 @@ class TestSteadyState:
 
     def test_saturation_value_on_resonance(self):
         # rabi = gamma gives excited population exactly 1/3... of the
-        # effective two-level pair
-        rho = steady_state(make("circular", rabi=1.0))
+        # effective two-level pair; a DriveConfig is resonant by default
+        rho = steady_state(build_generator(SCHEME, DriveConfig(CIRC, rabi=1.0)))
         e_top = SCHEME.excited_index(+2)
         assert rho[e_top, e_top].real == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -273,6 +274,23 @@ class TestSteadyState:
         assert "dimension 9 " in str(err.value)
         assert "9" in str(err.value)
 
+    def test_zero_generator_counts_its_whole_null_space(self):
+        """gamma = 0 and no drive give G = 0: all 64 directions are null."""
+        scheme = LevelScheme(fg=1, fe=2, gamma=0.0)
+        with pytest.raises(NumericalError, match="dimension 64 "):
+            steady_state(build_generator(scheme, DriveConfig(LIN, rabi=0.0)))
+
+    def test_rank_deficient_solve_is_rejected(self, monkeypatch):
+        lstsq = np.linalg.lstsq
+
+        def deficient(a, b, rcond=None):
+            sol, residuals, rank, svals = lstsq(a, b, rcond=rcond)
+            return sol, residuals, rank - 1, svals
+
+        monkeypatch.setattr(np.linalg, "lstsq", deficient)
+        with pytest.raises(NumericalError, match="solve is rank deficient"):
+            steady_state(make("linear", rabi=0.8))
+
 
 
 def _svdvals_null_dimension(g):
@@ -286,7 +304,7 @@ def _svdvals_null_dimension(g):
 @pytest.mark.parametrize("rabi", [0.0, 1e-6, 1e-4, 1e-2, 1.0])
 @pytest.mark.parametrize("mode", list(PolarizationMode), ids=lambda m: m.value)
 @pytest.mark.parametrize(
-    "fg, fe", [(1, 2), (2, 2), (2, 1), (1, 1), (0.5, 1.5)], ids=str
+    "fg, fe", [(1, 2), (2, 2), (2, 1), (1, 1), (0.5, 1.5), (4, 5)], ids=str
 )
 def test_uniqueness_decision_matches_scipy_svdvals(fg, fe, mode, rabi, gamma):
     """steady_state decides uniqueness as a scipy singular-value count does,
@@ -302,6 +320,33 @@ def test_uniqueness_decision_matches_scipy_svdvals(fg, fe, mode, rabi, gamma):
         with pytest.raises(NumericalError) as err:
             steady_state(liou)
         assert f"dimension {expected} " in str(err.value)
+
+
+@pytest.mark.parametrize("size, steady", [(0.9e-8, True), (1.5e-8, False)])
+def test_solve_is_rescaled_to_trace_one_and_gated_at_its_residual(
+    monkeypatch, size, steady
+):
+    """steady_state divides the solve by its trace, and accepts it only while
+    max |G vec(rho)| stays within STATIONARITY_TOL = 1e-8: here lstsq returns
+    3 (rho + kick x), x traceless, with max |G vec(kick x)| = size."""
+    liou = make("linear", rabi=0.8)
+    exact = steady_state(liou)
+    x = np.zeros_like(exact)
+    x[0, 0], x[1, 1] = 1.0, -1.0
+    kick = size / np.abs(liou.generator @ vec(x)).max()
+    lstsq = np.linalg.lstsq
+
+    def perturbed(a, b, rcond=None):
+        sol, *rest = lstsq(a, b, rcond=rcond)
+        return (3.0 * (sol + kick * vec(x)), *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", perturbed)
+    if steady:
+        assert np.abs(steady_state(liou) - (exact + kick * x)).max() <= 1e-15
+    else:
+        with pytest.raises(NumericalError, match=r"residual 1\.50e-08 too large"):
+            steady_state(liou)
+
 
 def evolve(liouvillian, rho0, t):
     """rho(t) = exp(G t) applied to rho0."""

@@ -25,24 +25,24 @@ def test_coherent_input_is_shot_noise_only():
 def test_coherent_quadratures_are_flat():
     m = excess_noise_input(0.0, 0.0)
     for theta in np.linspace(0, np.pi, 7):
-        assert quadrature_noise(m, theta).values == pytest.approx(1.0)
+        assert quadrature_noise(m, theta) == pytest.approx(1.0)
 
 
 def test_excess_noise_quadratures():
     """eps_a feeds theta=0, eps_p feeds theta=pi/2, white in frequency."""
     m = excess_noise_input(2.0, 10.0)
-    assert quadrature_noise(m, 0.0).values == pytest.approx(3.0)  # 1 + eps_a
-    assert quadrature_noise(m, np.pi / 2).values == pytest.approx(11.0)
+    assert quadrature_noise(m, 0.0) == pytest.approx(3.0)  # 1 + eps_a
+    assert quadrature_noise(m, np.pi / 2) == pytest.approx(11.0)
     # intermediate angle interpolates through cos^2/sin^2 weights
     th = 0.3
     expected = 1 + 2.0 * np.cos(th) ** 2 + 10.0 * np.sin(th) ** 2
-    assert quadrature_noise(m, th).values == pytest.approx(expected)
+    assert quadrature_noise(m, th) == pytest.approx(expected)
 
 
 def test_excess_noise_never_below_shot_noise():
     m = excess_noise_input(0.7, 0.0)
     for theta in np.linspace(0, 2 * np.pi, 41):
-        assert quadrature_noise(m, theta).values >= 1.0 - 1e-12
+        assert quadrature_noise(m, theta) >= 1.0 - 1e-12
 
 
 def test_excess_noise_is_linear_in_fractions():
@@ -73,14 +73,13 @@ def test_input_noise_matrix_roundtrip():
 
 
 def test_spectral_matrix_addition_broadcasts_over_grid():
-    grid = np.array([0.1, 1.0, 10.0])
-    arrays = SpectralMatrix(
-        np.ones(3), np.zeros(3), np.zeros(3), 0.5 * np.ones(3), grid=grid
-    )
-    total = excess_noise_input(0.0, 0.0) + arrays
-    assert np.allclose(total.s11, 2.0)
-    assert np.allclose(total.s22, 0.5)
-    assert total.grid is grid
+    ones = np.ones(3)
+    arrays = SpectralMatrix(ones, 0.2j * ones, -0.3 * ones, 0.5 * ones)
+    total = excess_noise_input(2.0, 6.0) + arrays  # s = 2, d = -1
+    assert np.array_equal(total.s11, 4.0 * ones)
+    assert np.array_equal(total.s12, (-1.0 + 0.2j) * ones)
+    assert np.array_equal(total.s21, -1.3 * ones)
+    assert np.array_equal(total.s22, 2.5 * ones)
 
 
 class TestPolarizationGeometry:
