@@ -1,10 +1,11 @@
-"""Angular-momentum algebra for a degenerate dipole transition.
+"""Level scheme and dipole tables of a degenerate Fg -> Fe transition.
 
 Every angular momentum and projection is held as the integer 2j, so
-half-integers need no special case. Clebsch-Gordan coefficients come from
-the Racah closed-form sum in exact integer arithmetic, one Fraction per
-term, and are rounded to float only at the final sqrt, so there is no
-cancellation error for any F. Condon-Shortley phases throughout.
+half-integers need no special case. The dipole tables' Clebsch-Gordan
+coefficients come from the Racah closed-form sum in exact integer
+arithmetic, one Fraction per term, rounded to float only at the final
+sqrt, so there is no cancellation error for any F. Condon-Shortley phases
+throughout.
 """
 
 from dataclasses import dataclass, field
@@ -31,25 +32,9 @@ def _doubled(x, name):
     raise ArgumentError(f"{name} = {x!r} is not a finite integer or half-integer")
 
 
-def clebsch_gordan(j1, m1, j2, m2, J, M):
-    """<j1 m1; j2 m2 | J M> via the Racah sum, exact until the final sqrt.
-
-    Returns 0.0 when M != m1 + m2 or the triangle rule fails.
-    """
-    names = ("j1", "m1", "j2", "m2", "J", "M")
-    args = [_doubled(x, name) for x, name in zip((j1, m1, j2, m2, J, M), names)]
-    for j, m, jn, mn in zip(args[::2], args[1::2], names[::2], names[1::2]):
-        if j < 0:
-            raise ArgumentError(f"{jn} must be >= 0")
-        if abs(m) > j:
-            raise ArgumentError(f"|{mn}| > {jn}")
-        if (j - m) % 2:
-            raise ArgumentError(f"{jn} and {mn} differ by a non-integer")
-    return _racah(*args)
-
-
 def _racah(j1, m1, j2, m2, J, M):
-    """clebsch_gordan of valid doubled arguments."""
+    """<j1 m1; j2 m2 | J M> from doubled arguments (2j1, 2m1, ...), each |m| <= j
+    with j - m even; 0.0 when M != m1 + m2 or the triangle rule fails."""
     if m1 + m2 != M or not abs(j1 - j2) <= J <= j1 + j2 or (j1 + j2 - J) % 2:
         return 0.0
     # The Racah sum's five integers. The prefactor's factorials are of sums of them:
@@ -107,29 +92,10 @@ class LevelScheme:
     def n(self):
         return self.n_ground + self.n_excited
 
-    def ground_index(self, m):
-        return _sublevel_index(m, self.two_fg, "ground")
-
-    def excited_index(self, m):
-        return self.n_ground + _sublevel_index(m, self.two_fe, "excited")
-
-    def ground_m_values(self):
-        return [Fraction(k, 2) for k in range(-self.two_fg, self.two_fg + 1, 2)]
-
-    def excited_m_values(self):
-        return [Fraction(k, 2) for k in range(-self.two_fe, self.two_fe + 1, 2)]
-
     def excited_projector(self):
         p = np.zeros((self.n, self.n))
         p[self.n_ground:, self.n_ground:] = np.eye(self.n_excited)
         return p
-
-
-def _sublevel_index(m, two_f, manifold):
-    k = _doubled(m, f"{manifold} M") + two_f
-    if k % 2 or not 0 <= k <= 2 * two_f:
-        raise ArgumentError(f"no {manifold} sublevel M={m}")
-    return k // 2
 
 
 def dipole_component(scheme, q):

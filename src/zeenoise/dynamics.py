@@ -134,8 +134,7 @@ def steady_state(liouvillian):
     Raises NumericalError when the null space has dimension other than one
     (for example Omega1 = 0, or a detuning so far that the optical-pumping
     rates fall below the relative singular-value cutoff), or when the solve
-    is rank deficient, fails in LAPACK, or leaves max |G vec(rho)| above
-    STATIONARITY_TOL.
+    fails in LAPACK or leaves max |G vec(rho)| above STATIONARITY_TOL.
     """
     g = liouvillian.generator
     n = liouvillian.n
@@ -146,9 +145,8 @@ def steady_state(liouvillian):
         svals = np.concatenate(
             [np.linalg.svd(g[np.ix_(b, b)], compute_uv=False) for b in blocks]
         )
-        top = svals.max()
-        scale = top if top > 0 else 1.0
-        null_dim = int(np.sum(svals < _NULL_SPACE_CUTOFF * scale))
+        # At G = 0 every singular value is 0 and all n^2 directions count
+        null_dim = int(np.sum(svals <= _NULL_SPACE_CUTOFF * svals.max()))
         if null_dim != 1:
             raise NumericalError(
                 f"steady state is not unique: generator null space has "
@@ -161,11 +159,9 @@ def steady_state(liouvillian):
         stacked = np.vstack([g, trace_row])
         rhs = np.zeros(n * n + 1, dtype=complex)
         rhs[-1] = 1.0
-        sol, _, rank, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
+        sol = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"steady-state solve failed: {exc}") from exc
-    if rank < n * n:
-        raise NumericalError("steady-state solve is rank deficient")
 
     rho = unvec(sol)
     rho = 0.5 * (rho + rho.conj().T)

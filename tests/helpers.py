@@ -1,11 +1,12 @@
-"""Test-side references: peak analysis of computed spectra and the
-closed-form two-level steady state.
+"""Test-side references: peak analysis of computed spectra, the
+closed-form two-level steady state, and sublevel indices.
 
 `peak_census` and `zero_peak_half_width` read figures off computed spectra
-(multiplet counts, Raman peak widths) with `scipy.signal`, and
+(multiplet counts, Raman peak widths) with `scipy.signal`,
 `two_level_reference` is the closed form that the dynamics, oracle and
-propagation tests compare against. The run pipeline calls none of them,
-so they live here and scipy stays out of the package's dependencies.
+propagation tests compare against, and `sublevel` finds a basis state by
+its M. The run pipeline calls none of them, so they live here and scipy
+stays out of the package's dependencies.
 """
 
 from collections import namedtuple
@@ -116,3 +117,8 @@ def two_level_reference(rabi, detuning=0.0, gamma=1.0):
         coherence=complex(coherence),
         susceptibility=complex(susceptibility),
     )
+
+
+def sublevel(scheme, m, excited=False):
+    """Basis index of the ground (or excited) sublevel M; M is not checked."""
+    return scheme.n_ground + int(m + scheme.fe) if excited else int(m + scheme.fg)

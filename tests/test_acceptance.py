@@ -34,7 +34,7 @@ from zeenoise.oracles import mollow_spectrum, qrt_spectrum
 from zeenoise.propagation import Atoms
 from zeenoise.cli import main
 
-from helpers import peak_census, zero_peak_half_width
+from helpers import peak_census, sublevel, zero_peak_half_width
 
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 B0 = 0.1
@@ -363,10 +363,8 @@ def test_invariant_suite():
     basis = PolarizationMode("circular")
     liou = build_generator(SCHEME, DriveConfig(basis=basis, rabi=1.0))
     rho = steady_state(liou)
-    pair = (
-        rho[SCHEME.ground_index(+1), SCHEME.ground_index(+1)].real
-        + rho[SCHEME.excited_index(+2), SCHEME.excited_index(+2)].real
-    )
+    g, e = sublevel(SCHEME, +1), sublevel(SCHEME, +2, excited=True)
+    pair = rho[g, g].real + rho[e, e].real
     assert pair >= 1.0 - 1e-10
 
     # decay branches sum to the excited-state projector

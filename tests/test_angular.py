@@ -7,113 +7,69 @@ import numpy as np
 import pytest
 
 from zeenoise import ArgumentError, LevelScheme
-from zeenoise.angular import MAX_F, clebsch_gordan, dipole_component
+from zeenoise.angular import MAX_F, _racah, dipole_component
+
+from helpers import sublevel
 
 sympy = pytest.importorskip("sympy")
 from sympy.physics.quantum.cg import CG as SympyCG  # noqa: E402
 
+# _racah takes every angular momentum and projection doubled: 2j, 2m.
+
 
 def test_known_value_1_0_1_0_2_0():
     # <1 0; 1 0 | 2 0> = sqrt(2/3)
-    assert clebsch_gordan(1, 0, 1, 0, 2, 0) == pytest.approx(
-        0.816496580927726, abs=1e-15
-    )
+    assert _racah(2, 0, 2, 0, 4, 0) == pytest.approx(0.816496580927726, abs=1e-15)
 
 
 def test_stretched_state_is_unity():
-    assert clebsch_gordan(1, 1, 1, 1, 2, 2) == 1.0
-    assert clebsch_gordan(2, 2, 1, 1, 3, 3) == 1.0
+    assert _racah(2, 2, 2, 2, 4, 4) == 1.0
+    assert _racah(4, 4, 2, 2, 6, 6) == 1.0
 
 
 def test_m_mismatch_gives_zero():
-    assert clebsch_gordan(1, 0, 1, 1, 2, 0) == 0.0
+    assert _racah(2, 0, 2, 2, 4, 0) == 0.0
+
+
+def test_triangle_violation_gives_zero():
+    assert _racah(2, 0, 2, 0, 10, 0) == 0.0  # J = 5 > j1 + j2
 
 
 def test_half_integer_arguments():
     # <1/2 1/2; 1/2 -1/2 | 0 0> = 1/sqrt(2); the 1 0 projection = +1/sqrt(2)
-    assert clebsch_gordan(0.5, 0.5, 0.5, -0.5, 1, 0) == pytest.approx(
-        1 / math.sqrt(2), abs=1e-15
-    )
-    assert clebsch_gordan(0.5, 0.5, 0.5, -0.5, 0, 0) == pytest.approx(
-        1 / math.sqrt(2), abs=1e-15
-    )
+    assert _racah(1, 1, 1, -1, 2, 0) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert _racah(1, 1, 1, -1, 0, 0) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
 def test_against_sympy_many_cases():
-    """Cross-check every allowed coefficient in a few (j1, j2) families."""
-    families = [(1, 1), (1, 2), (0.5, 0.5), (1.5, 1), (2, 1)]
-    for j1, j2 in families:
-        jmin, jmax = abs(j1 - j2), j1 + j2
-        J = jmin
-        while J <= jmax + 1e-9:
-            for m1 in np.arange(-j1, j1 + 1):
-                for m2 in np.arange(-j2, j2 + 1):
-                    M = m1 + m2
-                    if abs(M) > J:
+    """Cross-check every allowed coefficient in a few (2j1, 2j2) families."""
+    half = sympy.Rational(1, 2)
+    for two_j1, two_j2 in [(2, 2), (2, 4), (1, 1), (3, 2), (4, 2)]:
+        for two_J in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2):
+            for two_m1 in range(-two_j1, two_j1 + 1, 2):
+                for two_m2 in range(-two_j2, two_j2 + 1, 2):
+                    if abs(two_m1 + two_m2) > two_J:
                         continue
-                    ours = clebsch_gordan(j1, m1, j2, m2, J, M)
-                    ref = float(
-                        SympyCG(
-                            sympy.Rational(j1),
-                            sympy.Rational(m1),
-                            sympy.Rational(j2),
-                            sympy.Rational(m2),
-                            sympy.Rational(J),
-                            sympy.Rational(M),
-                        )
-                        .doit()
-                        .evalf(20)
-                    )
-                    assert ours == pytest.approx(ref, abs=5e-15), (
-                        j1,
-                        m1,
-                        j2,
-                        m2,
-                        J,
-                        M,
-                    )
-            J += 1
+                    args = (two_j1, two_m1, two_j2, two_m2, two_J, two_m1 + two_m2)
+                    ref = float(SympyCG(*(half * a for a in args)).doit().evalf(20))
+                    assert _racah(*args) == pytest.approx(ref, abs=5e-15), args
 
 
 def test_orthonormality_in_J():
-    # sum_J <j1 m1; j2 m2|J M><j1 m1'; j2 m2'|J M> = delta_{m1 m1'}
-    j1, j2 = 1, 2
-    for m1, m2 in [(0, 1), (1, -1), (-1, 0)]:
-        for m1p in (-1, 0, 1):
-            m2p = m1 + m2 - m1p
-            if abs(m2p) > j2:
+    # sum_J <j1 m1; j2 m2|J M><j1 m1'; j2 m2'|J M> = delta_{m1 m1'}, j1 = 1, j2 = 2
+    for two_m1, two_m2 in [(0, 2), (2, -2), (-2, 0)]:
+        two_M = two_m1 + two_m2
+        for two_m1p in (-2, 0, 2):
+            two_m2p = two_M - two_m1p
+            if abs(two_m2p) > 4:
                 continue
-            total = 0.0
-            J = abs(j1 - j2)
-            while J <= j1 + j2:
-                total += clebsch_gordan(j1, m1, j2, m2, J, m1 + m2) * clebsch_gordan(
-                    j1, m1p, j2, m2p, J, m1 + m2
-                )
-                J += 1
-            expected = 1.0 if m1p == m1 else 0.0
+            total = sum(
+                _racah(2, two_m1, 4, two_m2, two_J, two_M)
+                * _racah(2, two_m1p, 4, two_m2p, two_J, two_M)
+                for two_J in (2, 4, 6)
+            )
+            expected = 1.0 if two_m1p == two_m1 else 0.0
             assert total == pytest.approx(expected, abs=1e-14)
-
-
-def test_invalid_arguments_raise():
-    with pytest.raises(ArgumentError):
-        clebsch_gordan(1, 2, 1, 0, 2, 2)  # |m1| > j1
-    with pytest.raises(ArgumentError):
-        clebsch_gordan(1, 0.5, 1, 0, 2, 0.5)  # m not compatible with j
-    with pytest.raises(ArgumentError):
-        clebsch_gordan(-1, 0, 1, 0, 1, 0)
-    for args, message in (  # each (j, m) pair is checked, J and M too
-        ((1, 0, 1, 2, 2, 2), r"\|m2\| > j2"),
-        ((1, 1, 1, 1, 1, 2), r"\|M\| > J"),
-        ((1, 0, 1, 0, -1, 0), "J must be >= 0"),
-        ((1, 0, 0.5, 0.5, 1, 0.5), "J and M differ by a non-integer"),
-    ):
-        with pytest.raises(ArgumentError, match=message):
-            clebsch_gordan(*args)
-    for bad in (float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ArgumentError):
-            clebsch_gordan(1, 0, 1, 0, bad, 0)
-    # triangle violations are not argument errors: coefficient is zero
-    assert clebsch_gordan(1, 0, 1, 0, 5, 0) == 0.0
 
 
 class TestLevelScheme:
@@ -122,16 +78,7 @@ class TestLevelScheme:
         assert scheme.n_ground == 3
         assert scheme.n_excited == 5
         assert scheme.n == 8
-        assert scheme.ground_index(-1) == 0
-        assert scheme.ground_index(+1) == 2
-        assert scheme.excited_index(-2) == 3
-        assert scheme.excited_index(+2) == 7
-        assert list(scheme.ground_m_values()) == [-1, 0, 1]
-        assert list(scheme.excited_m_values()) == [-2, -1, 0, 1, 2]
         assert scheme.gamma == 1.0  # the default rate unit
-        for bad_m in (0.5, 2, -2):  # off parity, or past |M| <= Fg
-            with pytest.raises(ArgumentError, match="no ground sublevel"):
-                scheme.ground_index(bad_m)
 
     def test_rejects_forbidden_transitions(self):
         with pytest.raises(ArgumentError):
@@ -170,8 +117,9 @@ def test_dipole_lowering_block_structure():
         assert np.all(d[:, : scheme.n_ground] == 0)
         assert np.all(d[scheme.n_ground :, :] == 0)
         # selection rule Mg = Me - q within the block
-        for g, mg in enumerate(scheme.ground_m_values()):
-            for k, me in enumerate(scheme.excited_m_values()):
+        for g in range(scheme.n_ground):
+            for k in range(scheme.n_excited):
+                mg, me = g - scheme.fg, k - scheme.fe
                 if mg != me - q and d[g, scheme.n_ground + k] != 0:
                     raise AssertionError((q, mg, me))
 
@@ -222,9 +170,8 @@ def test_dipole_tables_equal_the_closed_form_rank1_table_bitwise():
 def test_dipole_entries_are_cg_values():
     scheme = LevelScheme(fg=1, fe=2)
     d0 = dipole_component(scheme, 0)
-    g = scheme.ground_index(0)
-    e = scheme.excited_index(0)
-    assert d0[g, e] == pytest.approx(clebsch_gordan(1, 0, 1, 0, 2, 0), abs=1e-15)
+    g, e = sublevel(scheme, 0), sublevel(scheme, 0, excited=True)
+    assert d0[g, e] == pytest.approx(_racah(2, 0, 2, 0, 4, 0), abs=1e-15)
 
 
 def test_branching_closure():

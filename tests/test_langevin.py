@@ -16,6 +16,8 @@ from zeenoise import (
 )
 from zeenoise.conventions import expectation_vector
 
+from helpers import sublevel
+
 SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
 
 
@@ -120,7 +122,7 @@ def test_matches_bruteforce_two_level_subspace():
             e[a, b] = 1
             m2[a + 2 * b, :] = drift_row(e).flatten(order="F")
 
-    gi, ei = scheme.ground_index(+1), scheme.excited_index(+2)
+    gi, ei = sublevel(scheme, +1), sublevel(scheme, +2, excited=True)
     pair = (gi, ei)
     rho2 = np.array(
         [[steady[pair[i], pair[j]] for j in range(2)] for i in range(2)]

@@ -1,12 +1,20 @@
-"""The Tier-1 verdict script reads a JUnit report as documented."""
+"""The tools: the Tier-1 verdict reads a JUnit report as documented, and the
+mutation sweep names each site apart."""
 
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "tier1.py"
-spec = importlib.util.spec_from_file_location("tier1", TOOL)
-tier1 = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tier1)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tier1, mutants = _load("tier1"), _load("mutants")
 
 EVEN, MULTIPLET = sorted(tier1.KNOWN_RED)
 
@@ -51,3 +59,14 @@ def test_new_failure_and_fixed_known_red_are_named(tmp_path):
         f"known-red now passes: {EVEN}",
         "tier-1: 1 passed, 2 failed or errored, not the known-reds",
     ]
+
+
+def test_mutation_sites_on_one_line_get_distinct_labels():
+    """Both `+` of `1.0 + s + 0j` start at one column as ast nodes; each
+    site's label still names it apart, so a survivor can be re-run alone."""
+    labels = [label for _, label, _ in mutants.sites("x = 1.0 + s + 0j\n")]
+    assert [label for label in labels if label.endswith("Add -> Sub")] == [
+        "1:14: Add -> Sub",
+        "1:10: Add -> Sub",
+    ]
+    assert len(set(labels)) == len(labels) == 4

@@ -17,8 +17,8 @@ layout do not survive; the unmutated module goes through the same round
 trip first, and its tests must pass. Each mutant then runs pytest on the
 given test files, stopping at the first failure. A mutant survives when
 they all pass; one that fails, errors or outlasts ten times the unmutated
-run is killed. Prints one line per mutant and the counts; exits 1 if the
-unmutated run fails.
+run is killed. Prints one line per mutant, `module:line:col: description`,
+and the counts; exits 1 if the unmutated run fails.
 """
 
 import ast
@@ -61,31 +61,38 @@ def _set(field, value):
 
 
 def mutations(node):
-    """(description, apply) of each mutation of `node`; `apply` edits the
-    node at the same place in a fresh parse of the module."""
+    """(anchor, description, apply) of each mutation of `node`. `anchor` is
+    the operand right of a swapped operator, else `node` itself, so that two
+    operators of one nested expression sit at different columns; `apply`
+    edits the node at the same place in a fresh parse of the module."""
     if isinstance(node, (ast.BinOp, ast.BoolOp)) and type(node.op) in SWAPS:
         new = SWAPS[type(node.op)]
-        yield f"{type(node.op).__name__} -> {new.__name__}", _set("op", new())
+        anchor = node.right if isinstance(node, ast.BinOp) else node.values[1]
+        description = f"{type(node.op).__name__} -> {new.__name__}"
+        yield anchor, description, _set("op", new())
     if isinstance(node, ast.Compare):
         for i, op in enumerate(node.ops):
             if type(op) in SWAPS:
                 new = SWAPS[type(op)]
                 ops = node.ops[:i] + [new()] + node.ops[i + 1:]
-                yield f"{type(op).__name__} -> {new.__name__}", _set("ops", ops)
+                description = f"{type(op).__name__} -> {new.__name__}"
+                yield node.comparators[i], description, _set("ops", ops)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        yield "drop unary minus", _set("op", ast.UAdd())
+        yield node, "drop unary minus", _set("op", ast.UAdd())
     if _is_number(node):
-        yield f"{node.value!r} -> {_bumped(node.value)!r}", _set(
+        yield node, f"{node.value!r} -> {_bumped(node.value)!r}", _set(
             "value", _bumped(node.value)
         )
 
 
 def sites(source):
-    """(walk index, line, description, apply) of every mutation site."""
+    """(walk index, label, apply) of every mutation site; the label
+    `line:col: description` names one site (col counts from 0)."""
     found = []
     for index, node in enumerate(ast.walk(ast.parse(source))):
-        for description, apply in mutations(node):
-            found.append((index, node.lineno, description, apply))
+        for anchor, description, apply in mutations(node):
+            label = f"{anchor.lineno}:{anchor.col_offset}: {description}"
+            found.append((index, label, apply))
     return found
 
 
@@ -130,11 +137,11 @@ def sweep(module, tests):
             return 1
         survivors = 0
         found = sites(source)
-        for index, line, description, apply in found:
+        for index, label, apply in found:
             target.write_text(mutant(source, index, apply))
             killed, _ = run_tests(copy, tests, 10 * seconds + 10)
             fate = "killed  " if killed else "SURVIVED"
-            print(f"{fate} {module}:{line}: {description}", flush=True)
+            print(f"{fate} {module}:{label}", flush=True)
             survivors += not killed
         print(f"{module}: {len(found)} mutants, {survivors} survivors")
     return 0
