@@ -19,6 +19,12 @@ Two representations of the same dynamics are built independently:
 
 Their mutual consistency under the trace pairing is a tested invariant,
 not an assumption.
+
+Each is summed term by term into one accumulator, in place, with the
+same floating-point operations in the same order as its written sum, so
+the bits equal those of the expression while only one dense term lives
+beside the accumulator. Building both at F = 4->5 peaks at about 3.1
+dense n^2 x n^2 complex arrays: G, M and one complex adjoint term.
 """
 
 from dataclasses import dataclass
@@ -79,37 +85,62 @@ def _adjoint_rows(x, y):
     return np.einsum("ai,bj->baji", x, y, order="C")
 
 
+def _generator(h, jumps, gamma):
+    """G = -1j (I x h - h^T x I) + sum_c gamma (c x c - 0.5 I x cdc
+    - 0.5 cdc^T x I), x the Kronecker product, cdc = c^T c (c real, so
+    conj(c) = c)."""
+    eye = np.eye(len(h))
+    g = np.kron(eye, h)
+    # np.kron copies its n^2 x n^2 product again to reshape it when a
+    # factor is not C-ordered, so a transposed factor is copied first.
+    g -= np.kron(h.T.copy(), eye)
+    g *= -1j
+    for c in jumps:
+        cdc = c.T @ c
+        t = np.kron(c, c)
+        t -= 0.5 * np.kron(eye, cdc)
+        t -= 0.5 * np.kron(cdc.T.copy(), eye)
+        t *= gamma
+        g += t
+    return g
+
+
+def _drift(h, jumps, gamma):
+    """M = 1j (T(h^T, I) - T(I, h)) + sum_c gamma (T(c, c)
+    - 0.5 (T(cdc^T, I) + T(I, cdc))), T = _adjoint_rows.
+
+    Row a + n*b of M is the adjoint action on |a><b|, flattened
+    column-major: X|a><b| = X[:, a]<b|, |a><b|X = |a>X[b, :] and
+    c^T|a><b|c = c[a, :]^T c[b, :], so every term is one outer product.
+    """
+    n = len(h)
+    eye = np.eye(n)
+    lx = _adjoint_rows(h.T, eye)
+    lx -= _adjoint_rows(eye, h)
+    lx *= 1j
+    for c in jumps:
+        cdc = c.T @ c
+        t = _adjoint_rows(cdc.T, eye)
+        t += _adjoint_rows(eye, cdc)
+        t *= 0.5
+        np.subtract(_adjoint_rows(c, c), t, out=t)
+        t *= gamma
+        lx += t
+    return lx.reshape(n * n, n * n)  # a view: M[a + n*b, i + n*j] = T[b, a, j, i]
+
+
 def build_generator(scheme, drive):
     """Assemble the Liouvillian (G and M) for a scheme and drive."""
     if not isinstance(drive.basis, PolarizationMode):
         raise ArgumentError("drive.basis must be a PolarizationMode")
-    n = scheme.n
     h = hamiltonian(scheme, drive)
-    eye = np.eye(n)
     jumps = [dipole_component(scheme, q) for q in (-1, 0, +1)]
-
-    g = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for c in jumps:
-        cdc = c.T @ c
-        g += scheme.gamma * (
-            np.kron(c, c)  # c real: conj(c) = c
-            - 0.5 * np.kron(eye, cdc)
-            - 0.5 * np.kron(cdc.T, eye)
-        )
-
-    # Row a + n*b of M is the adjoint action on |a><b|, flattened
-    # column-major: X|a><b| = X[:, a]<b|, |a><b|X = |a>X[b, :] and
-    # c^T|a><b|c = c[a, :]^T c[b, :], so every term is one outer product.
-    lx = 1j * (_adjoint_rows(h.T, eye) - _adjoint_rows(eye, h))
-    for c in jumps:
-        cdc = c.T @ c
-        lx += scheme.gamma * (
-            _adjoint_rows(c, c)
-            - 0.5 * (_adjoint_rows(cdc.T, eye) + _adjoint_rows(eye, cdc))
-        )
-    m = lx.reshape(n * n, n * n)  # a view: M[a + n*b, i + n*j] = T[b, a, j, i]
-
-    return Liouvillian(generator=g, drift=m, scheme=scheme, drive=drive)
+    return Liouvillian(
+        generator=_generator(h, jumps, scheme.gamma),
+        drift=_drift(h, jumps, scheme.gamma),
+        scheme=scheme,
+        drive=drive,
+    )
 
 
 def coherence_blocks(scheme, polarization):

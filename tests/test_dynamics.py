@@ -1,5 +1,6 @@
 """Master-equation generator, steady state, and time evolution."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +147,47 @@ def test_drift_equals_transposed_adjoint_rows_bitwise(fg, fe, mode):
     drift = build_generator(scheme, drive).drift
     assert np.array_equal(drift, expected)
     assert drift.tobytes() == expected.tobytes() and drift.flags.c_contiguous
+
+
+@pytest.mark.parametrize("mode", [CIRC, LIN], ids=lambda m: m.value)
+@pytest.mark.parametrize("fg, fe", [
+    (Fraction(1, 2), Fraction(3, 2)), (1, 2), (2, 2), (4, 5),
+], ids=str)
+def test_generator_equals_kronecker_expression_bitwise(fg, fe, mode):
+    """G summed in place equals, zero signs included, the Kronecker
+    expression it implements, evaluated as one expression per term."""
+    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.3)
+    drive = DriveConfig(basis=mode, rabi=0.7, detuning=0.3)
+    h = hamiltonian(scheme, drive)
+    eye = np.eye(scheme.n)
+    expected = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for c in (dipole_component(scheme, q) for q in (-1, 0, +1)):
+        cdc = c.T @ c
+        expected += scheme.gamma * (
+            np.kron(c, c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye)
+        )
+    assert build_generator(scheme, drive).generator.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mode", [CIRC, LIN], ids=lambda m: m.value)
+def test_generator_assembly_peak_is_bounded(mode):
+    """At F=4->5 building G and M peaks at about 3.1 dense n^2 x n^2
+    arrays: G, M's accumulator and one complex adjoint term. Forming each
+    sum as one expression, a dense temporary per term, peaked at 3.56."""
+    scheme = LevelScheme(fg=4, fe=5, gamma=1.0)
+    drive = DriveConfig(mode, rabi=0.9, detuning=-0.14)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build_generator(scheme, drive)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    dense = scheme.n**4 * 16
+    assert peak <= 3.25 * dense, peak / dense
 
 
 @pytest.mark.parametrize("fg, fe, mode, labels, components", [

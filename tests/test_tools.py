@@ -70,3 +70,15 @@ def test_mutation_sites_on_one_line_get_distinct_labels():
         "1:10: Add -> Sub",
     ]
     assert len(set(labels)) == len(labels) == 4
+
+
+def test_augmented_assignments_are_mutation_sites():
+    """An in-place sum such as `g -= 0.5 * k` is swapped like its binary
+    form, anchored at its value, apart from the operator inside it."""
+    labels = [label for _, label, _ in mutants.sites("g -= 0.5 * k\ng *= 1j\n")]
+    assert sorted(labels) == [
+        "1:11: Mult -> Div", "1:5: 0.5 -> 1.0", "1:5: Sub -> Add",
+        "2:5: 1j -> 2j", "2:5: Mult -> Div",
+    ]
+    index, _, apply = mutants.sites("g -= t\n")[0]
+    assert mutants.mutant("g -= t\n", index, apply) == "g += t\n"

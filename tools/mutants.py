@@ -5,7 +5,8 @@
 Copies `src/`, `tests/` and `pyproject.toml` into a temporary directory and
 never writes the worktree. Each mutant changes one site of the module:
 
-- an arithmetic operator swapped (+ -, * /, // /, ** *);
+- an arithmetic operator swapped (+ -, * /, // /, ** *), augmented
+  assignments (`g -= t`) included;
 - a comparison swapped (< <=, > >=, == !=, is / is not, in / not in);
 - a boolean operator swapped (and or);
 - a numeric constant bumped (an int by 1, any other number doubled, a
@@ -62,12 +63,17 @@ def _set(field, value):
 
 def mutations(node):
     """(anchor, description, apply) of each mutation of `node`. `anchor` is
-    the operand right of a swapped operator, else `node` itself, so that two
-    operators of one nested expression sit at different columns; `apply`
-    edits the node at the same place in a fresh parse of the module."""
-    if isinstance(node, (ast.BinOp, ast.BoolOp)) and type(node.op) in SWAPS:
+    the operand right of a swapped operator (an augmented assignment's
+    value), else `node` itself, so that two operators of one nested
+    expression sit at different columns; `apply` edits the node at the
+    same place in a fresh parse of the module."""
+    binary = (ast.BinOp, ast.BoolOp, ast.AugAssign)
+    if isinstance(node, binary) and type(node.op) in SWAPS:
         new = SWAPS[type(node.op)]
-        anchor = node.right if isinstance(node, ast.BinOp) else node.values[1]
+        if isinstance(node, ast.BoolOp):
+            anchor = node.values[1]
+        else:
+            anchor = node.right if isinstance(node, ast.BinOp) else node.value
         description = f"{type(node.op).__name__} -> {new.__name__}"
         yield anchor, description, _set("op", new())
     if isinstance(node, ast.Compare):
