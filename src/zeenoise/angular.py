@@ -54,14 +54,13 @@ class LevelScheme:
     """A ground level Fg and excited level Fe joined by a dipole transition.
 
     Sublevels are enumerated ground M = -Fg..Fg first, then excited
-    M = -Fe..Fe, giving n = (2Fg+1) + (2Fe+1) basis states. `gamma` is the
-    total excited-state decay rate and the global rate unit (default 1).
+    M = -Fe..Fe, giving n = (2Fg+1) + (2Fe+1) basis states. Every excited
+    sublevel decays at the rate gamma = 1, the unit of every rate.
     `two_fg` and `two_fe` hold 2Fg and 2Fe as ints.
     """
 
     fg: float
     fe: float
-    gamma: float = 1.0
     two_fg: int = field(init=False, repr=False, compare=False)
     two_fe: int = field(init=False, repr=False, compare=False)
 
@@ -77,8 +76,6 @@ class LevelScheme:
             raise ArgumentError(
                 f"Fg={self.fg}, Fe={self.fe} is not a dipole-allowed pair"
             )
-        if self.gamma < 0:
-            raise ArgumentError("gamma must be >= 0")
 
     @property
     def n_ground(self):
@@ -104,7 +101,7 @@ def dipole_component(scheme, q):
     Entry [g, e] = <Fg Mg; 1 q | Fe Me> with Me = Mg + q, on ground-row /
     excited-column pairs; zero elsewhere. The raising component is the
     transpose. Sum_q d_q^T d_q has unit diagonal on the excited manifold,
-    so each excited sublevel decays at the full rate gamma.
+    so each excited sublevel decays at the full rate gamma = 1.
     """
     if q not in (-1, 0, 1):
         raise ArgumentError(f"q must be -1, 0, or +1, got {q!r}")
@@ -113,7 +110,7 @@ def dipole_component(scheme, q):
 
 @lru_cache(maxsize=None)
 def _dipole_table(two_fg, two_fe, q):
-    """d_q for 2Fg -> 2Fe, built once per process (it does not depend on gamma)."""
+    """d_q for 2Fg -> 2Fe, built once per process."""
     n_ground = two_fg + 1
     d = np.zeros((n_ground + two_fe + 1,) * 2)
     for g, two_mg in enumerate(range(-two_fg, two_fg + 1, 2)):

@@ -7,7 +7,7 @@ approximation, with the Hamiltonian
 
 (Delta = laser minus atomic frequency, D1 the driven dipole-lowering
 combination) and relaxation through the three spherical jump channels
-sqrt(gamma) * d_q, q in {-1, 0, +1}.
+d_q, q in {-1, 0, +1}, with every rate in units of the decay rate gamma = 1.
 
 Two representations of the same dynamics are built independently:
 
@@ -45,7 +45,7 @@ STATIONARITY_TOL = 1e-8
 class DriveConfig:
     """Drive parameters: polarization geometry, Rabi frequency, detuning.
 
-    All rates in units of the scheme's gamma. Omega1 is defined through the
+    All rates in units of the decay rate gamma. Omega1 is defined through the
     reduced dipole matrix element, so the stretched two-level coupling at
     CIRCULAR drive is exactly Omega1 (unit Clebsch-Gordan coefficient).
     Omega1 = 0 is accepted at construction; a unique steady state then does
@@ -85,8 +85,8 @@ def _adjoint_rows(x, y):
     return np.einsum("ai,bj->baji", x, y, order="C")
 
 
-def _generator(h, jumps, gamma):
-    """G = -1j (I x h - h^T x I) + sum_c gamma (c x c - 0.5 I x cdc
+def _generator(h, jumps):
+    """G = -1j (I x h - h^T x I) + sum_c (c x c - 0.5 I x cdc
     - 0.5 cdc^T x I), x the Kronecker product, cdc = c^T c (c real, so
     conj(c) = c)."""
     eye = np.eye(len(h))
@@ -100,13 +100,12 @@ def _generator(h, jumps, gamma):
         t = np.kron(c, c)
         t -= 0.5 * np.kron(eye, cdc)
         t -= 0.5 * np.kron(cdc.T.copy(), eye)
-        t *= gamma
         g += t
     return g
 
 
-def _drift(h, jumps, gamma):
-    """M = 1j (T(h^T, I) - T(I, h)) + sum_c gamma (T(c, c)
+def _drift(h, jumps):
+    """M = 1j (T(h^T, I) - T(I, h)) + sum_c (T(c, c)
     - 0.5 (T(cdc^T, I) + T(I, cdc))), T = _adjoint_rows.
 
     Row a + n*b of M is the adjoint action on |a><b|, flattened
@@ -124,7 +123,6 @@ def _drift(h, jumps, gamma):
         t += _adjoint_rows(eye, cdc)
         t *= 0.5
         np.subtract(_adjoint_rows(c, c), t, out=t)
-        t *= gamma
         lx += t
     return lx.reshape(n * n, n * n)  # a view: M[a + n*b, i + n*j] = T[b, a, j, i]
 
@@ -136,8 +134,8 @@ def build_generator(scheme, drive):
     h = hamiltonian(scheme, drive)
     jumps = [dipole_component(scheme, q) for q in (-1, 0, +1)]
     return Liouvillian(
-        generator=_generator(h, jumps, scheme.gamma),
-        drift=_drift(h, jumps, scheme.gamma),
+        generator=_generator(h, jumps),
+        drift=_drift(h, jumps),
         scheme=scheme,
         drive=drive,
     )

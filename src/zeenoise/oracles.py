@@ -23,29 +23,29 @@ from .errors import ArgumentError, NumericalError
 _CHUNK = 32
 
 
-def _bloch_matrix(rabi, detuning, gamma):
-    """Drift of (<s->, <s+>, <p>) for a driven two-level atom."""
+def _bloch_matrix(rabi, detuning):
+    """Drift of (<s->, <s+>, <p>) for a driven two-level atom, gamma = 1."""
     return np.array(
         [
-            [1j * detuning - gamma / 2, 0.0, -1j * rabi],
-            [0.0, -1j * detuning - gamma / 2, 1j * rabi],
-            [-1j * rabi / 2, 1j * rabi / 2, -gamma],
+            [1j * detuning - 0.5, 0.0, -1j * rabi],
+            [0.0, -1j * detuning - 0.5, 1j * rabi],
+            [-1j * rabi / 2, 1j * rabi / 2, -1.0],
         ],
         dtype=complex,
     )
 
 
-def mollow_spectrum(omega, rabi, detuning=0.0, gamma=1.0):
+def mollow_spectrum(omega, rabi, detuning=0.0):
     """Inelastic fluorescence (Mollow) spectrum of a driven two-level atom.
 
     Two-sided in `omega`; its integral over omega/(2 pi) equals the
     incoherently scattered population p - |<s->|^2. Computed from the
     regression theorem applied to the 3-variable Bloch system.
     """
-    if rabi <= 0 or gamma <= 0:
-        raise ArgumentError("rabi and gamma must be positive")
+    if rabi <= 0:
+        raise ArgumentError("rabi must be positive")
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    a = _bloch_matrix(rabi, detuning, gamma)
+    a = _bloch_matrix(rabi, detuning)
     b = np.array([1j * rabi / 2, -1j * rabi / 2, 0.0], dtype=complex)
     eye = np.eye(3)
     w = omega[..., None, None]  # one 3x3 system per entry, solved as a stack

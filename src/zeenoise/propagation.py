@@ -46,11 +46,11 @@ The atomic term is assembled in normally ordered form,
     S11_at(Omega) = k2 * FT<dD+(t) dD(0)>(-Omega)
     S22_at(Omega) = k2 * FT<dD+(t) dD(0)>(+Omega)
     S12_at(Omega) = -k2 * FT<dD (t) dD(0)>(Omega)
-    S21_at(Omega) = -k2 * FT<dD+(t) dD+(0)>(Omega),      k2 = b0*gamma/4,
+    S21_at(Omega) = -k2 * FT<dD+(t) dD+(0)>(Omega),      k2 = b0/4,
 
 the quadrature form in which squeezing appears as negativity of the added
 part while S11 - S22 (the commutator) passes through unchanged. The carrier
-is multiplied by exp(i chi) with chi = (b0*gamma/2) <D>/Omega1, which makes
+is multiplied by exp(i chi) with chi = (b0/2) <D>/Omega1, which makes
 the weak resonant two-level intensity transmission exactly exp(-b0)
 (Beer-Lambert anchor) and the dephasing Phi = Re chi exactly linear in b0.
 """
@@ -77,9 +77,9 @@ class MediumParams:
         if self.b0 < 0:
             raise ArgumentError(f"b0 must be >= 0, got {self.b0}")
 
-    def atomic_scale(self, gamma):
-        """k2 = b0 gamma / 4, the scale of the atomic term (and oracles)."""
-        return 0.25 * self.b0 * gamma
+    def atomic_scale(self):
+        """k2 = b0 / 4, the scale of the atomic term (and oracles)."""
+        return 0.25 * self.b0
 
 
 @dataclass
@@ -207,10 +207,9 @@ def propagate(input_matrix, medium, atoms):
     and no correlation is solved.
     """
     grid = atoms.grid
-    scheme = atoms.scheme
     drive = atoms.drive
     b0 = medium.b0
-    k2 = medium.atomic_scale(scheme.gamma)
+    k2 = medium.atomic_scale()
     if b0 > 0 and drive.rabi == 0:
         raise ArgumentError("carrier update undefined at zero Rabi frequency")
 
@@ -221,7 +220,7 @@ def propagate(input_matrix, medium, atoms):
             c11, c12, c21, c22 = atoms.correlations[comp]
             entries = (k2 * c11, -k2 * c12, -k2 * c21, k2 * c22)  # S11..S22
             mean_dipole = np.trace(atoms.rho @ op)
-            chi = 0.5 * b0 * scheme.gamma * mean_dipole / drive.rabi
+            chi = 0.5 * b0 * mean_dipole / drive.rabi
         else:
             entries = (np.zeros(grid.shape, dtype=complex) for _ in range(4))
             chi = 0.0j

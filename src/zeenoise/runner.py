@@ -6,11 +6,11 @@ One CSV table is written per sweep value, with the fixed column layout
 
 (e1 = driven, e2 = orthogonal polarization; s_opt = optical spectrum;
 s_x = quadrature noise at the amplitude-quadrature angle unless the scenario
-requests an explicit angle). Observables that do not apply are left as
-empty fields, never written as zeros. Each CSV gets a JSON sidecar holding
-every input parameter, the convention tags, and the carrier/dephasing
-values, so any number in the table can be recomputed from the sidecar
-alone.
+requests an explicit angle; gamma = 1, so omega_over_gamma is Omega).
+Observables that do not apply are left as empty fields, never written as
+zeros. Each CSV gets a JSON sidecar holding every input parameter, gamma
+included, the convention tags and the carrier/dephasing values, so any
+number in the table can be recomputed from the sidecar alone.
 
 Only the transition and the drive fix the atomic part of a point: the
 generator, the steady state and the diffusion matrix, which make one
@@ -18,7 +18,7 @@ generator, the steady state and the diffusion matrix, which make one
 `run_scenario` solves that part once for each run of consecutive points
 with equal [transition] and [drive] values, so a b0 or eps_p sweep solves
 it once. Each point then hands the shared Atoms to `propagate` with its
-own b0 and input matrix, and scales the oracle columns by b0 gamma / 4.
+own b0 and input matrix, and scales the oracle columns by b0 / 4.
 The pipeline is deterministic, with no randomness anywhere, so reruns are
 bit-identical.
 """
@@ -72,7 +72,7 @@ def solve_atoms(point):
     same ATOMIC_KEYS values.
 
     The oracle columns map each column name, in [output] oracles order, to
-    its values on |grid| per unit of b0 gamma / 4: `qrt_opt_eC` is 2 Re of
+    its values on |grid| per unit of b0 / 4: `qrt_opt_eC` is 2 Re of
     component C's regression spectrum, and `mollow_opt_e1` the two-level
     Mollow spectrum, or None (an empty column) unless `mollow_applies`.
     """
@@ -89,7 +89,7 @@ def solve_atoms(point):
                 oracles[f"qrt_opt_e{c}"] = 2.0 * spectrum.real
         else:
             oracles["mollow_opt_e1"] = (
-                mollow_spectrum(wabs, point.rabi, point.detuning, point.gamma)
+                mollow_spectrum(wabs, point.rabi, point.detuning)
                 if mollow_applies(point) else None
             )
     return atoms, oracles
@@ -99,9 +99,9 @@ def compute_point(scenario, atoms, oracles):
     """(columns, metadata) of one effective scenario; a None column is empty.
 
     `atoms` and `oracles` are the `solve_atoms` of a point with the same
-    ATOMIC_KEYS values; the oracle columns are scaled by b0 gamma / 4 here.
+    ATOMIC_KEYS values; the oracle columns are scaled by b0 / 4 here.
     """
-    scheme, _, medium, input_matrix = _inputs(scenario)
+    _, _, medium, input_matrix = _inputs(scenario)
     out = propagate(input_matrix, medium, atoms)
     sidecar = {
         "carrier_e1": [out.carrier[1].real, out.carrier[1].imag],
@@ -125,7 +125,7 @@ def compute_point(scenario, atoms, oracles):
         "s_x_e1": quadrature_noise(out.spectra[1], theta),
         "s_x_e2": quadrature_noise(out.spectra[2], theta),
     }
-    k2 = medium.atomic_scale(scheme.gamma)
+    k2 = medium.atomic_scale()
     for name, col in oracles.items():
         columns[name] = None if col is None else k2 * col
     _require_finite("column", columns)

@@ -13,10 +13,10 @@ A scenario collects everything one simulation run needs:
     [output]     oracles = qrt mollow        ; optional extra columns
                  quadrature = amplitude      ; or an angle in radians
 
-Frequencies are in units of gamma. `load_scenario` raises ScenarioError
-(with file/section/key context) on anything unparseable; physical range
-problems are reported by `validate_scenario` as (warnings, errors) so a
-`validate` run can show them all at once.
+Rates and frequencies are in units of gamma, which must be 1. On anything
+unparseable or not listed above `load_scenario` raises ScenarioError with
+file/section/key context; `validate_scenario` returns physical range
+problems as (warnings, errors), so `validate` can show them all at once.
 """
 
 import configparser
@@ -109,7 +109,6 @@ class Scenario:
     name: str
     fg: float
     fe: float
-    gamma: float
     polarization: str
     rabi: float
     detuning: float
@@ -120,6 +119,7 @@ class Scenario:
     sweep: Optional[SweepSpec] = None
     oracles: Tuple[str, ...] = field(default_factory=tuple)
     quadrature_theta: Optional[float] = None  # None = amplitude quadrature
+    gamma = 1.0  # the rate unit the sidecar records; not a field
 
     def points(self):
         """[(label, sweep value, effective scenario)], one per output table."""
@@ -211,7 +211,7 @@ _PARAMETER_SECTIONS = ("transition", "drive", "medium", "input")
 KEYS = (
     ("transition", "fg", _finite, _REQUIRED),
     ("transition", "fe", _finite, _REQUIRED),
-    ("transition", "gamma", _finite, 1.0),
+    ("transition", "gamma", _finite, 1.0),  # must be 1: Scenario.gamma
     ("drive", "polarization", _one_of("polarization", _POLARIZATIONS), _REQUIRED),
     ("drive", "rabi", _finite, _REQUIRED),
     ("drive", "detuning", _finite, 0.0),
@@ -229,6 +229,9 @@ KEYS = (
     ("output", "oracles", _oracles, ()),
     ("scenario", "name", _name, None),  # None = the file stem
 )
+
+# Each section's keys; any other section, [DEFAULT] included, takes none.
+_SECTION_KEYS = {s: [k for t, k, _, _ in KEYS if t == s] for s, _, _, _ in KEYS}
 
 # The physical parameters: Scenario fields, and the sidecar's "parameters".
 PARAMETERS = tuple(
@@ -265,6 +268,11 @@ def load_scenario(path):
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ScenarioError(str(exc), path=path) from exc
+    for section, keys in parser.items():  # [DEFAULT] first, so named there
+        for key in keys:
+            if key not in _SECTION_KEYS.get(section, ()):
+                unknown = "key" if section in _SECTION_KEYS else "section"
+                raise ScenarioError(f"unknown {unknown}", path, section, key)
 
     read = {}
     for section, key, parse, default in KEYS:
@@ -274,6 +282,9 @@ def load_scenario(path):
             parser, path, section, key, parse, default
         )
 
+    if (gamma := read["transition"].pop("gamma")) != 1:  # see Scenario.gamma
+        raise ScenarioError(f"gamma is the rate unit and must be 1, got {gamma!r}",
+                            path=path, section="transition", key="gamma")
     name = read["scenario"]["name"]
     return Scenario(
         name=path.stem if name is None else name,
@@ -331,7 +342,7 @@ def point_inputs(point):
     mode = PolarizationMode(point.polarization)
     inputs, errors = [], []
     for prefix, construct, args in (
-        ("transition: ", LevelScheme, (point.fg, point.fe, point.gamma)),
+        ("transition: ", LevelScheme, (point.fg, point.fe)),
         ("drive.", DriveConfig, (mode, point.rabi, point.detuning)),
         ("medium.", MediumParams, (point.b0,)),
         ("input.", excess_noise_input, (point.eps_a, point.eps_p)),
@@ -359,11 +370,6 @@ def _check_ranges(point, scheme, warnings, errors):
         warnings.append(
             f"medium.b0 = {point.b0} exceeds the dilute/thin-sample "
             "domain (b0 <= 0.5); results are extrapolations"
-        )
-    if point.gamma == 0:
-        errors.append(
-            "transition.gamma must be > 0: without spontaneous decay the "
-            "steady state is not unique"
         )
     if scheme is None:
         return

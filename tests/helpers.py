@@ -1,12 +1,14 @@
 """Test-side references: peak analysis of computed spectra, the
-closed-form two-level steady state, and sublevel indices.
+closed-form two-level steady state, weak-drive optical pumping, and
+sublevel indices.
 
 `peak_census` and `zero_peak_half_width` read figures off computed spectra
 (multiplet counts, Raman peak widths) with `scipy.signal`,
 `two_level_reference` is the closed form that the dynamics, oracle and
-propagation tests compare against, and `sublevel` finds a basis state by
-its M. The run pipeline calls none of them, so they live here and scipy
-stays out of the package's dependencies.
+propagation tests compare against, `pumped_populations` the weak-drive
+ground state that the acceptance tests hold the steady state to, and
+`sublevel` finds a basis state by its M. The run pipeline calls none of
+them, so they live here and scipy stays out of the package's dependencies.
 """
 
 from collections import namedtuple
@@ -16,6 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import signal
 
+from zeenoise.angular import dipole_component
 from zeenoise.errors import ArgumentError
 
 
@@ -117,6 +120,28 @@ def two_level_reference(rabi, detuning=0.0, gamma=1.0):
         coherence=complex(coherence),
         susceptibility=complex(susceptibility),
     )
+
+
+def pumped_populations(scheme, q):
+    """Ground populations p and squared couplings c^2 of a weak drive on the
+    spherical component q, from the optical-pumping rate equations (W. Happer,
+    Rev. Mod. Phys. 44, 169 (1972)); both are arrays over the ground M.
+
+    Far below saturation g_m is excited at a rate proportional to
+    c_m^2 = |<Fg m; 1 q | Fe m+q>|^2, the same Lorentzian factor for every m,
+    and e_(m+q) then decays to g_m' with branching ratio sum_q' |d_q'|^2.
+    p is the trace-1 null vector of that rate matrix. It shares nothing with
+    the generator, the drift or the diffusion matrix.
+    """
+    ng = scheme.n_ground
+    # [g', e]: e decays to g' with these ratios
+    branching = sum(dipole_component(scheme, k)[:ng, ng:] ** 2 for k in (-1, 0, 1))
+    drive = dipole_component(scheme, q)[:ng, ng:] ** 2  # [g, e]
+    c2 = drive.sum(axis=1)
+    rates = branching @ drive.T - np.diag(c2)  # [g', g]
+    stacked = np.vstack([rates, np.ones(ng)])
+    p = np.linalg.lstsq(stacked, np.r_[np.zeros(ng), 1.0], rcond=None)[0]
+    return p, c2
 
 
 def sublevel(scheme, m, excited=False):

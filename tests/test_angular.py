@@ -78,17 +78,12 @@ class TestLevelScheme:
         assert scheme.n_ground == 3
         assert scheme.n_excited == 5
         assert scheme.n == 8
-        assert scheme.gamma == 1.0  # the default rate unit
 
     def test_rejects_forbidden_transitions(self):
         with pytest.raises(ArgumentError):
             LevelScheme(fg=1, fe=3)  # |Fe-Fg| > 1
         with pytest.raises(ArgumentError):
             LevelScheme(fg=0, fe=0)  # 0 -> 0 is dipole-forbidden
-        with pytest.raises(ArgumentError):
-            LevelScheme(fg=1, fe=2, gamma=-1.0)
-        for gamma in (0.0, 0.37):  # any gamma >= 0 is a rate unit
-            assert LevelScheme(fg=1, fe=2, gamma=gamma).gamma == gamma
         assert LevelScheme(fg=9, fe=10).n == 40  # F <= 10, as documented
         for fg, fe in ((10, 11), (10.5, 9.5)):
             with pytest.raises(ArgumentError, match="must be <= 10,"):
@@ -204,11 +199,3 @@ def test_dipole_component_returns_a_fresh_copy():
     reference = b.copy()
     a[:] = 7.0
     assert np.array_equal(dipole_component(scheme, 1), reference)
-
-
-def test_dipole_table_does_not_depend_on_gamma():
-    for q in (-1, 0, 1):
-        assert np.array_equal(
-            dipole_component(LevelScheme(fg=2, fe=3, gamma=1.0), q),
-            dipole_component(LevelScheme(fg=2, fe=3, gamma=2.5), q),
-        )

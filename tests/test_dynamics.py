@@ -24,7 +24,7 @@ from zeenoise.dynamics import coherence_blocks, hamiltonian
 
 from helpers import sublevel, two_level_reference
 
-SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
+SCHEME = LevelScheme(fg=1, fe=2)
 CIRC = PolarizationMode.CIRCULAR
 LIN = PolarizationMode.LINEAR
 
@@ -104,10 +104,7 @@ def drift_by_rows(scheme, drive):
             lx = 1j * (h @ basis_op - basis_op @ h)
             for c in jumps:
                 cdc = c.T @ c
-                lx += scheme.gamma * (
-                    c.T @ basis_op @ c
-                    - 0.5 * (cdc @ basis_op + basis_op @ cdc)
-                )
+                lx += c.T @ basis_op @ c - 0.5 * (cdc @ basis_op + basis_op @ cdc)
             m[a + n * b, :] = lx.flatten(order="F")
     return m
 
@@ -117,7 +114,7 @@ def drift_by_rows(scheme, drive):
     (1, 2), (2, 3), (4, 5), (Fraction(1, 2), Fraction(3, 2)), (2, 2),
 ])
 def test_broadcast_drift_equals_row_by_row_drift_bitwise(fg, fe, mode):
-    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.3)
+    scheme = LevelScheme(fg=fg, fe=fe)
     basis = CIRC if mode == "circular" else LIN
     drive = DriveConfig(basis=basis, rabi=0.7, detuning=0.3)
     drift = build_generator(scheme, drive).drift
@@ -130,7 +127,7 @@ def test_drift_equals_transposed_adjoint_rows_bitwise(fg, fe, mode):
     """M written straight in its row order equals, zero signs included, the
     adjoint rows built as T[a, b, i, j] = x[a, i] y[b, j] and then copied
     through transpose(1, 0, 3, 2), and keeps that copy's C layout."""
-    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.0)
+    scheme = LevelScheme(fg=fg, fe=fe)
     drive = DriveConfig(basis=mode, rabi=0.9, detuning=-0.14)
     n = scheme.n
     h = hamiltonian(scheme, drive)
@@ -142,7 +139,7 @@ def test_drift_equals_transposed_adjoint_rows_bitwise(fg, fe, mode):
     lx = 1j * (rows(h.T, eye) - rows(eye, h))
     for c in (dipole_component(scheme, q) for q in (-1, 0, +1)):
         cdc = c.T @ c
-        lx += scheme.gamma * (rows(c, c) - 0.5 * (rows(cdc.T, eye) + rows(eye, cdc)))
+        lx += rows(c, c) - 0.5 * (rows(cdc.T, eye) + rows(eye, cdc))
     expected = lx.transpose(1, 0, 3, 2).reshape(n * n, n * n)
     drift = build_generator(scheme, drive).drift
     assert np.array_equal(drift, expected)
@@ -156,14 +153,14 @@ def test_drift_equals_transposed_adjoint_rows_bitwise(fg, fe, mode):
 def test_generator_equals_kronecker_expression_bitwise(fg, fe, mode):
     """G summed in place equals, zero signs included, the Kronecker
     expression it implements, evaluated as one expression per term."""
-    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.3)
+    scheme = LevelScheme(fg=fg, fe=fe)
     drive = DriveConfig(basis=mode, rabi=0.7, detuning=0.3)
     h = hamiltonian(scheme, drive)
     eye = np.eye(scheme.n)
     expected = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for c in (dipole_component(scheme, q) for q in (-1, 0, +1)):
         cdc = c.T @ c
-        expected += scheme.gamma * (
+        expected += (
             np.kron(c, c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye)
         )
     assert build_generator(scheme, drive).generator.tobytes() == expected.tobytes()
@@ -174,7 +171,7 @@ def test_generator_assembly_peak_is_bounded(mode):
     """At F=4->5 building G and M peaks at about 3.1 dense n^2 x n^2
     arrays: G, M's accumulator and one complex adjoint term. Forming each
     sum as one expression, a dense temporary per term, peaked at 3.56."""
-    scheme = LevelScheme(fg=4, fe=5, gamma=1.0)
+    scheme = LevelScheme(fg=4, fe=5)
     drive = DriveConfig(mode, rabi=0.9, detuning=-0.14)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -207,7 +204,7 @@ def test_generator_and_drift_are_block_diagonal_in_coherence_order(
     A label may hold several components (9 labels, 11 components at
     F = 1->2), so the labels contain the components but need not equal them.
     """
-    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.3)
+    scheme = LevelScheme(fg=fg, fe=fe)
     liou = build_generator(scheme, DriveConfig(basis=mode, rabi=0.7, detuning=0.3))
     label = coherence_blocks(scheme, mode)
     assert label.dtype.kind == "i"  # m_a - m_b, an integer coherence order
@@ -245,7 +242,7 @@ class TestSteadyState:
         for rabi, det in [(0.5, 0.0), (1.0, 0.0), (2.0, 1.0), (0.2, -0.7)]:
             rho = steady_state(make("circular", rabi, det))
             e_top = sublevel(SCHEME, +2, excited=True)
-            ref = two_level_reference(rabi, det, gamma=1.0)
+            ref = two_level_reference(rabi, det)
             assert rho[e_top, e_top].real == pytest.approx(
                 ref.excited_population, abs=1e-12
             )
@@ -259,16 +256,15 @@ class TestSteadyState:
 
     def test_circular_steady_state_equals_bruteforce_two_level(self):
         """Independent 2x2 Lindblad solve for the stretched pair."""
-        rabi, det, gamma = 1.7, 0.4, 1.0
+        rabi, det = 1.7, 0.4
         sm = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
         h2 = -det * np.diag([0.0, 1.0]) - 0.5 * rabi * (sm + sm.T)
         h2 = h2.astype(complex)
 
         def lind(r):
             comm = -1j * (h2 @ r - r @ h2)
-            diss = gamma * (
-                sm @ r @ sm.conj().T
-                - 0.5 * (sm.conj().T @ sm @ r + r @ sm.conj().T @ sm)
+            diss = sm @ r @ sm.conj().T - 0.5 * (
+                sm.conj().T @ sm @ r + r @ sm.conj().T @ sm
             )
             return comm + diss
 
@@ -306,12 +302,6 @@ class TestSteadyState:
         assert "dimension 9 " in str(err.value)
         assert "9" in str(err.value)
 
-    def test_zero_generator_counts_its_whole_null_space(self):
-        """gamma = 0 and no drive give G = 0: all 64 directions are null."""
-        scheme = LevelScheme(fg=1, fe=2, gamma=0.0)
-        with pytest.raises(NumericalError, match="dimension 64 "):
-            steady_state(build_generator(scheme, DriveConfig(LIN, rabi=0.0)))
-
 
 def _svdvals_null_dimension(g):
     """Null-space dimension as scipy.linalg.svdvals counts it at 1e-9."""
@@ -320,17 +310,19 @@ def _svdvals_null_dimension(g):
     return int(np.sum(svals < 1e-9 * scale))
 
 
-@pytest.mark.parametrize("gamma", [0.37, 1.0])
+@pytest.mark.parametrize("scale", [0.37, 1.0])
 @pytest.mark.parametrize("rabi", [0.0, 1e-6, 1e-4, 1e-2, 1.0])
 @pytest.mark.parametrize("mode", list(PolarizationMode), ids=lambda m: m.value)
 @pytest.mark.parametrize(
     "fg, fe", [(1, 2), (2, 2), (2, 1), (1, 1), (0.5, 1.5), (4, 5)], ids=str
 )
-def test_uniqueness_decision_matches_scipy_svdvals(fg, fe, mode, rabi, gamma):
+def test_uniqueness_decision_matches_scipy_svdvals(fg, fe, mode, rabi, scale):
     """steady_state decides uniqueness as a scipy singular-value count does,
-    down to the weak drives where the Raman terms live."""
-    scheme = LevelScheme(fg=fg, fe=fe, gamma=gamma)
-    liou = build_generator(scheme, DriveConfig(basis=mode, rabi=rabi))
+    down to the weak drives where the Raman terms live. A case at `scale`
+    drives at rabi / scale: the atom with decay rate `scale` and Rabi
+    frequency rabi, measured in units of its own decay rate."""
+    scheme = LevelScheme(fg=fg, fe=fe)
+    liou = build_generator(scheme, DriveConfig(basis=mode, rabi=rabi / scale))
     expected = _svdvals_null_dimension(liou.generator)
     if expected == 1:
         rho = steady_state(liou)

@@ -18,11 +18,11 @@ from zeenoise.conventions import expectation_vector
 
 from helpers import sublevel
 
-SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
+SCHEME = LevelScheme(fg=1, fe=2)
 
 
-def setup_system(mode, rabi, detuning=0.0, gamma=1.0):
-    scheme = LevelScheme(fg=1, fe=2, gamma=gamma)
+def setup_system(mode, rabi, detuning=0.0):
+    scheme = LevelScheme(fg=1, fe=2)
     basis = PolarizationMode(mode)
     liou = build_generator(
         scheme, DriveConfig(basis=basis, rabi=rabi, detuning=detuning)
@@ -46,16 +46,6 @@ def test_hermiticity_pairing():
                         rhs = np.conj(two_d[d + n * c, b + n * a])
                         worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-12
-
-
-def test_no_dissipation_no_diffusion():
-    """With gamma = 0 there are no Langevin forces at all."""
-    scheme = LevelScheme(fg=1, fe=2, gamma=0.0)
-    basis = PolarizationMode.LINEAR
-    liou = build_generator(scheme, DriveConfig(basis=basis, rabi=0.0))
-    rho = np.eye(scheme.n, dtype=complex) / scheme.n  # stationary: [H, I] = 0
-    two_d = diffusion_matrix(liou, rho)
-    assert np.abs(two_d).max() < 1e-14
 
 
 def test_rejects_non_stationary_state():
@@ -83,22 +73,11 @@ def test_ground_block_scales_as_rabi_squared():
     assert ratio == pytest.approx(100.0, rel=1e-2)
 
 
-def test_dilation_invariance():
-    """Scaling (gamma, rabi, detuning) by s scales the diffusion by s."""
-    s = 2.0
-    _, liou1, st1 = setup_system("linear", 0.8, 0.3, gamma=1.0)
-    _, liou2, st2 = setup_system("linear", s * 0.8, s * 0.3, gamma=s)
-    d1 = diffusion_matrix(liou1, st1)
-    d2 = diffusion_matrix(liou2, st2)
-    assert np.abs(st1 - st2).max() < 1e-12
-    assert np.abs(d2 - s * d1).max() < 1e-12
-
-
 def test_matches_bruteforce_two_level_subspace():
     """Circular drive: block for stretched-pair forces equals a hand-built
     two-level Einstein calculation done entirely within the test."""
-    rabi, det, gamma = 1.3, 0.5, 1.0
-    scheme, liou, steady = setup_system("circular", rabi, det, gamma)
+    rabi, det = 1.3, 0.5
+    scheme, liou, steady = setup_system("circular", rabi, det)
     n = scheme.n
     two_d = diffusion_matrix(liou, steady)
 
@@ -110,9 +89,7 @@ def test_matches_bruteforce_two_level_subspace():
         # adjoint generator on a 2x2 operator
         out = 1j * (h2 @ op - op @ h2)
         cdc = sm.conj().T @ sm
-        out += gamma * (
-            sm.conj().T @ op @ sm - 0.5 * (cdc @ op + op @ cdc)
-        )
+        out += sm.conj().T @ op @ sm - 0.5 * (cdc @ op + op @ cdc)
         return out
 
     m2 = np.zeros((4, 4), dtype=complex)
@@ -150,7 +127,7 @@ def test_in_place_sum_equals_three_term_formula_bitwise(fg, fe, mode):
     """2D accumulated in place equals, zero signs included, t1 - t2 - t3
     summed as whole arrays and reshaped column-major, and keeps that
     reshape's Fortran layout."""
-    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.0)
+    scheme = LevelScheme(fg=fg, fe=fe)
     liou = build_generator(
         scheme, DriveConfig(basis=PolarizationMode(mode), rabi=0.9, detuning=-0.14)
     )
@@ -175,7 +152,7 @@ def test_diffusion_matrix_allocates_at_most_one_extra_array(mode):
     inputs stays under 2.5 n^2 x n^2 complex arrays: 2D itself and one
     einsum term (2.1 measured). Summing t1 - t2 - t3 as whole arrays and
     reshaping the sum took 5.0."""
-    scheme = LevelScheme(fg=4, fe=5, gamma=1.0)
+    scheme = LevelScheme(fg=4, fe=5)
     liou = build_generator(
         scheme, DriveConfig(basis=PolarizationMode(mode), rabi=0.9, detuning=-0.14)
     )

@@ -27,14 +27,14 @@ from zeenoise.oracles import (
 
 from helpers import two_level_reference
 
-SCHEME = LevelScheme(fg=1, fe=2, gamma=1.0)
+SCHEME = LevelScheme(fg=1, fe=2)
 CIRC = PolarizationMode.CIRCULAR
 BLOCK_PAIRS = [(0.5, 1.5), (1, 1), (1, 2), (2, 1), (1.5, 1.5), (2, 3), (4, 5)]
 
 
-def mollow_per_entry(omega, rabi, detuning=0.0, gamma=1.0):
+def mollow_per_entry(omega, rabi, detuning=0.0):
     """mollow_spectrum as one pair of 3x3 solves per frequency."""
-    a = _bloch_matrix(rabi, detuning, gamma)
+    a = _bloch_matrix(rabi, detuning)
     b = np.array([1j * rabi / 2, -1j * rabi / 2, 0.0], dtype=complex)
     s_minus, s_plus, p = np.linalg.solve(a, -b)
     g0 = np.array(
@@ -61,10 +61,10 @@ class TestMollowSpectrum:
             w = rng.normal(scale=10.0, size=rng.integers(1, 60))
             grids.append(np.concatenate((w, w[: rng.integers(0, len(w) + 1)])))
         for w in grids:
-            rabi, gamma = rng.uniform(0.05, 20.0), rng.uniform(0.1, 3.0)
+            rabi = rng.uniform(0.05, 20.0)
             for det in (rng.uniform(0.1, 5.0), 0.0, -rng.uniform(0.1, 5.0)):
-                got = mollow_spectrum(w, rabi, det, gamma)
-                assert np.array_equal(got, mollow_per_entry(w, rabi, det, gamma))
+                got = mollow_spectrum(w, rabi, det)
+                assert np.array_equal(got, mollow_per_entry(w, rabi, det))
 
     def test_strong_drive_triplet_ratio(self):
         """Central peak to sideband height ratio approaches 3:1."""
@@ -88,11 +88,11 @@ class TestMollowSpectrum:
 
     def test_integral_equals_incoherent_population(self):
         """(1/2pi) integral S dOmega = p - |<s->|^2 (total inelastic power)."""
-        rabi, det, gamma = 1.5, 0.4, 1.0
+        rabi, det = 1.5, 0.4
         w = np.linspace(-60, 60, 12001)
-        s = mollow_spectrum(w, rabi, det, gamma)
+        s = mollow_spectrum(w, rabi, det)
         integral = np.trapezoid(s, w) / (2 * np.pi)
-        ref = two_level_reference(rabi, det, gamma)
+        ref = two_level_reference(rabi, det)
         expected = ref.excited_population - abs(ref.coherence) ** 2
         assert integral == pytest.approx(expected, rel=1e-3)
 
@@ -101,17 +101,14 @@ class TestMollowSpectrum:
         assert mollow_spectrum(w, 5.0, 1.0).min() > -1e-12
 
     def test_rejects_nonpositive_rates(self):
-        with pytest.raises(ArgumentError):
-            mollow_spectrum(np.array([1.0]), 0.0)
-        with pytest.raises(ArgumentError):
-            mollow_spectrum(np.array([1.0]), 1.0, gamma=-1.0)
-        with pytest.raises(ArgumentError):
-            mollow_spectrum(np.array([1.0]), 1.0, gamma=0.0)
+        for rabi in (0.0, -1.0):
+            with pytest.raises(ArgumentError, match="rabi must be positive"):
+                mollow_spectrum(np.array([1.0]), rabi)
 
     def test_defaults_are_resonant_drive_and_unit_decay(self):
         w = np.array([-2.0, 0.4, 3.0])
         default = mollow_spectrum(w, 1.3)
-        assert np.array_equal(default, mollow_spectrum(w, 1.3, 0.0, 1.0))
+        assert np.array_equal(default, mollow_spectrum(w, 1.3, 0.0))
 
 
 class TestQrtSpectrum:

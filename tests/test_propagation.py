@@ -35,8 +35,8 @@ from helpers import two_level_reference
 GRID = np.array([1e-3, 0.1, 0.7, 3.0, 12.0])
 
 
-def system(mode, rabi, detuning=0.0, gamma=1.0):
-    scheme = LevelScheme(fg=1, fe=2, gamma=gamma)
+def system(mode, rabi, detuning=0.0):
+    scheme = LevelScheme(fg=1, fe=2)
     basis = PolarizationMode(mode)
     drive = DriveConfig(basis=basis, rabi=rabi, detuning=detuning)
     liou = build_generator(scheme, drive)
@@ -141,7 +141,7 @@ def test_cross_polarization_correlations_vanish():
     """Magnetic-number conservation kills e1 x e2 correlations.
 
     The e1 x e2 block is formed from the fluctuation kernel exactly as
-    propagate forms each component's own block, with k2 = b0*gamma/4.
+    propagate forms each component's own block, with k2 = b0/4.
     """
     k2 = 0.25 * 0.2
     for mode in ("circular", "linear"):
@@ -173,7 +173,7 @@ def resolvent_calls(monkeypatch, grid):
 
     monkeypatch.setattr(zeenoise.propagation, "_resolvent", counting)
     scenario = Scenario(
-        name="count", fg=1, fe=2, gamma=1.0, polarization="linear",
+        name="count", fg=1, fe=2, polarization="linear",
         rabi=1.0, detuning=0.0, b0=0.1, grid=grid,
     )
     compute_point(scenario, *solve_atoms(scenario))
@@ -209,7 +209,7 @@ def test_b0_sweep_inverts_each_resolvent_once(
 
     monkeypatch.setattr(zeenoise.propagation, "_resolvent", counting)
     scenario = Scenario(
-        name="count", fg=1, fe=2, gamma=1.0, polarization="linear",
+        name="count", fg=1, fe=2, polarization="linear",
         rabi=1.0, detuning=0.0, b0=0.1, grid=GridSpec(0.1, 2.0, 4, "log"),
         sweep=SweepSpec("b0", values),
     )
@@ -239,7 +239,7 @@ def test_drift_is_conjugation_symmetric_under_factor_swap(
     """conj(M) = P M P and i w I - M = P conj(-i w I - M) P hold bit for bit,
     so the mirrored R(-|Omega|) inverts exactly the matrix a second
     inversion would."""
-    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.0)
+    scheme = LevelScheme(fg=fg, fe=fe)
     drive = DriveConfig(PolarizationMode(mode), rabi, detuning)
     m = build_generator(scheme, drive).drift
     swap = np.ix_(*[factor_swap(scheme.n)] * 2)
@@ -283,7 +283,7 @@ def test_compute_point_is_finite_or_raises_physics_error(
     """A point that passes validation has every column finite, or ends in a
     documented exit-3 error; theta None is the amplitude quadrature."""
     scenario = Scenario(
-        name="any", fg=1, fe=2, gamma=1.0, polarization=polarization,
+        name="any", fg=1, fe=2, polarization=polarization,
         rabi=rabi, detuning=detuning, b0=b0, grid=GridSpec(0.01, 10.0, 3),
         eps_a=eps_a, eps_p=eps_p, oracles=("qrt", "mollow"),
         quadrature_theta=theta,
@@ -385,15 +385,14 @@ def assert_atomic_term_matches(out, liou, two_d, grid, b0):
     atomic_response inversions per point within 1e-13 of each column's
     maximum, or 1e-10 on grids that reach down to Omega = 1e-3, where the
     steady-state zero mode leaves fewer digits."""
-    scheme = liou.scheme
-    k2 = 0.25 * b0 * scheme.gamma
+    k2 = 0.25 * b0
     mirrored = [mirrored_kernels(liou, two_d, w) for w in grid]
     inverted = [
         (atomic_response(liou, two_d, w)[1], atomic_response(liou, two_d, -w)[1])
         for w in grid
     ]
     tol = 1e-13 if np.abs(grid).min() >= 0.1 else 1e-10
-    ops = [liou.drive.basis.operator(scheme, comp) for comp in (1, 2)]
+    ops = [liou.drive.basis.operator(liou.scheme, comp) for comp in (1, 2)]
     x = np.stack([vec(v) for op in ops for v in (op.conj().T, op)])
     exact = atomic_term(x, k2, mirrored)
     reference = atomic_term(x, k2, inverted)
@@ -431,7 +430,7 @@ def test_support_rows_are_bit_identical_at_larger_f(fg, fe, mode):
     still changes no bit of the atomic term against full per-point kernels,
     and the mirror stays within round-off of atomic_response."""
     b0, grid = 0.2, np.array([0.5, -0.5, 2.0])
-    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.0)
+    scheme = LevelScheme(fg=fg, fe=fe)
     drive = DriveConfig(basis=PolarizationMode(mode), rabi=1.0, detuning=0.4)
     liou = build_generator(scheme, drive)
     rho = steady_state(liou)
@@ -465,7 +464,7 @@ def test_scratch_rebuilds_m_and_2d_bitwise(monkeypatch, fg, fe, mode):
     """The one scratch matrix holds np.subtract(0.0, M) with -i|Omega| on
     its diagonal when it is inverted, then 2D in diffusion_matrix's
     column-major layout: byte for byte the dense arrays of the products."""
-    scheme = LevelScheme(fg=fg, fe=fe, gamma=1.0)
+    scheme = LevelScheme(fg=fg, fe=fe)
     liou = build_generator(scheme, DriveConfig(PolarizationMode(mode), 0.9, -0.14))
     rho = steady_state(liou)
     two_d = diffusion_matrix(liou, rho)
@@ -500,7 +499,7 @@ def test_atoms_retains_less_than_a_quarter_of_a_dense_matrix(mode):
     """Once the Liouvillian and the dense 2D are dropped, an F=4->5 `Atoms`
     retains its compact M and 2D (about 0.19 of one dense n^2 x n^2 array
     with its other attributes), not the dense arrays."""
-    scheme = LevelScheme(fg=4, fe=5, gamma=1.0)
+    scheme = LevelScheme(fg=4, fe=5)
     drive = DriveConfig(PolarizationMode(mode), rabi=0.9, detuning=-0.14)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -523,7 +522,7 @@ def test_correlations_peak_holds_no_kernel_matrix(mode):
     """At F=4->5 one `correlations` pass peaks at about 3.3-3.4 dense
     n^2 x n^2 arrays (the scratch, R(+|Omega|), the inversion's work
     buffer), with no n^2 x n^2 kernel array beside them (4.2-4.3 with one)."""
-    scheme = LevelScheme(fg=4, fe=5, gamma=1.0)
+    scheme = LevelScheme(fg=4, fe=5)
     liou = build_generator(scheme, DriveConfig(PolarizationMode(mode), 1.0, 0.4))
     rho = steady_state(liou)
     atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), [0.5, -0.5, 2.0])
@@ -602,7 +601,7 @@ def test_correlations_match_a_40_digit_reference(mode):
     """At F=1->2, Omega1 = 1, Delta = 0.4, every form of both components
     is within 1e-13 of the largest of the four at that Omega, apart from
     the driven component's trace residue below Omega = 0.1."""
-    scheme = LevelScheme(fg=1, fe=2, gamma=1.0)
+    scheme = LevelScheme(fg=1, fe=2)
     liou = build_generator(scheme, DriveConfig(PolarizationMode(mode), 1.0, 0.4))
     rho = steady_state(liou)
     two_d = diffusion_matrix(liou, rho)
@@ -689,36 +688,7 @@ class TestCarrier:
             phi(undriven, diff, steady, 0.1)
 
 
-def test_dilation_invariance_end_to_end():
-    """All spectra are functions of (Omega/gamma, rabi/gamma, det/gamma)."""
-    s = 2.0
-    base = run("linear", 0.8, 0.3, b0=0.2)
-    scheme, liou, steady, diff = system("linear", s * 0.8, s * 0.3, gamma=s)
-    scaled = propagate(
-        excess_noise_input(0.0, 0.0),
-        MediumParams(0.2),
-        Atoms(liou, steady, diff, s * GRID),
-    )
-    for comp in (1, 2):
-        assert np.allclose(
-            base.spectra[comp].s11, scaled.spectra[comp].s11, rtol=1e-12
-        )
-        assert np.allclose(
-            base.spectra[comp].s22, scaled.spectra[comp].s22, rtol=1e-12
-        )
-    assert base.carrier[1] == pytest.approx(scaled.carrier[1], rel=1e-12)
-
-
 class TestAtomicResponse:
-    def test_no_diffusion_no_fluctuations(self):
-        scheme = LevelScheme(fg=1, fe=2, gamma=0.0)
-        basis = PolarizationMode.LINEAR
-        liou = build_generator(scheme, DriveConfig(basis=basis, rabi=0.0))
-        rho = np.eye(8, dtype=complex) / 8
-        diff = diffusion_matrix(liou, rho)
-        _, c = atomic_response(liou, diff, 1.0)
-        assert np.abs(c).max() < 1e-14
-
     def test_kernel_decays_as_inverse_frequency_squared(self):
         _, liou, steady, diff = system("linear", 1.0)
         _, c1 = atomic_response(liou, diff, 200.0)

@@ -31,7 +31,7 @@ from zeenoise import (
 from zeenoise import runner
 from zeenoise.cli import PRESET_GROUPS, main
 from zeenoise.propagation import Atoms
-from zeenoise.scenario import GridSpec, point_inputs
+from zeenoise.scenario import GridSpec, Scenario, point_inputs
 
 GOOD = """
 [scenario]
@@ -119,6 +119,11 @@ count = 3
         assert s.eps_a == 0.0 and s.eps_p == 0.0
         assert s.sweep is None
         assert s.oracles == ()
+        # a Scenario built in code defaults as a file without those keys
+        assert s == Scenario(
+            name=s.name, fg=1.0, fe=2.0, polarization="circular", rabi=1.0,
+            detuning=0.0, b0=0.1, grid=GridSpec(0.1, 1.0, 3),
+        )
 
     def test_bad_number_names_section_and_key(self, tmp_path):
         text = GOOD.replace("rabi = 0.5", "rabi = fast")
@@ -897,13 +902,22 @@ class TestCli:
         (ZERO_RABI, ZERO_RABI_TLS.replace("b0 = 0.1", "b0 = 0"),
          "drive.rabi must be > 0 for the mollow oracle"),
         ("fg = 1\nfe = 2", "fg = 1\nfe = 2\ngamma = 0",
-         "transition.gamma must be > 0"),
+         "rejected.ini: [transition] gamma: gamma is the rate unit and must be 1"),
+        ("fg = 1\nfe = 2", "fg = 1\nfe = 2\ngamma = 2",
+         "rejected.ini: [transition] gamma: gamma is the rate unit and must be 1"),
+        ("rabi = 1.0", "rabi = 1.0\ndetunning = 1",
+         "rejected.ini: [drive] detunning: unknown key"),
+        ("count = 5", "count = 5\n\n[grdi]\ncount = 5",
+         "rejected.ini: [grdi] count: unknown section"),
+        ("[transition]", "[DEFAULT]\ndetuning = 1\n\n[transition]",
+         "rejected.ini: [DEFAULT] detuning: unknown section"),
         ("b0 = 0.1", "b0 = 0.1\n\n[input]\neps_a = 1e308\neps_p = 1e308",
          "input.eps_a + eps_p must be finite, got 1e+308 + 1e+308"),
     ], ids=[
         "duplicate_oracle", "grid_span_overflow", "f_above_cap", "mixed_f_parity",
         "symmetrize_maybe",
         "zero_rabi_circular", "zero_rabi_linear", "zero_rabi_mollow", "zero_gamma",
+        "gamma_2", "unknown_key", "unknown_section", "default_key",
         "excess_noise_overflow",
     ])
     def test_rejected_input_exits_2_without_output(
@@ -1088,7 +1102,7 @@ def test_written_tables_match_the_pipeline_and_the_oracle_gates(
     ]
 
     grid = table["omega_over_gamma"]
-    scheme = LevelScheme(fg=1, fe=2, gamma=1.0)
+    scheme = LevelScheme(fg=1, fe=2)
     liou = build_generator(
         scheme, DriveConfig(PolarizationMode(polarization), 1.2, 0.4)
     )
@@ -1139,7 +1153,7 @@ def test_undriven_transparent_point_writes_the_input_field(tmp_path):
         assert meta[f"phi_e{c}"] == 0.0
     assert meta["carrier_e1"] == [1.0, 0.0] and meta["carrier_e2"] == [0.0, 0.0]
 
-    scheme = LevelScheme(fg=0, fe=1, gamma=1.0)
+    scheme = LevelScheme(fg=0, fe=1)
     liou = build_generator(scheme, DriveConfig(PolarizationMode.CIRCULAR, 0.0))
     rho = steady_state(liou)
     atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), table["omega_over_gamma"])

@@ -1,5 +1,6 @@
-"""The tools: the Tier-1 verdict reads a JUnit report as documented, and the
-mutation sweep names each site apart."""
+"""The tools: the Tier-1 verdict reads a JUnit report as documented, the
+mutation sweep names each site apart, and the output comparison names each
+file that differs."""
 
 import importlib.util
 from pathlib import Path
@@ -14,7 +15,7 @@ def _load(name):
     return module
 
 
-tier1, mutants = _load("tier1"), _load("mutants")
+tier1, mutants, same_outputs = _load("tier1"), _load("mutants"), _load("same_outputs")
 
 EVEN, MULTIPLET = sorted(tier1.KNOWN_RED)
 
@@ -82,3 +83,48 @@ def test_augmented_assignments_are_mutation_sites():
     ]
     index, _, apply = mutants.sites("g -= t\n")[0]
     assert mutants.mutant("g -= t\n", index, apply) == "g += t\n"
+
+
+def _outputs(root, tables, sidecar="{}"):
+    """An output directory with one CSV per (label, text) and its sidecar."""
+    root.mkdir()
+    for label, text in tables.items():
+        (root / f"{label}.csv").write_text(text)
+        (root / f"{label}.json").write_text(sidecar)
+    return root
+
+
+def test_same_outputs_reports_nothing_for_identical_directories(tmp_path):
+    tables = {"a": "omega, s\n1,2\n3,\n", "b": "omega, s\n1,-4\n"}
+    old = _outputs(tmp_path / "old", tables)
+    assert same_outputs.compare(old, _outputs(tmp_path / "new", tables)) == []
+
+
+def test_same_outputs_names_each_changed_file_and_its_largest_move(tmp_path):
+    """The move is relative to the column's largest magnitude at REV: 0.5
+    out of 4 in column s, which outweighs 1e-3 out of 3 in omega."""
+    old = _outputs(tmp_path / "old", {
+        "a": "omega, s\n1,2\n3,-4\n", "b": "omega, s\n1,\n", "c": "omega\n1\n",
+    })
+    new = _outputs(tmp_path / "new", {
+        "a": "omega, s\n1,2\n3.001,-3.5\n", "b": "omega, s\n1,0\n", "d": "omega\n1\n",
+    }, sidecar="{ }")
+    assert same_outputs.compare(old, new) == [
+        "c.csv: only at REV",
+        "c.json: only at REV",
+        "d.csv: only in this checkout",
+        "d.json: only in this checkout",
+        "a.csv: largest move 0.125 of the column maximum, in s",
+        "a.json: bytes differ",
+        "b.csv: column s changed which fields are empty",
+        "b.json: bytes differ",
+    ]
+
+
+def test_same_outputs_reports_a_reshaped_table(tmp_path):
+    old = _outputs(tmp_path / "old", {"a": "omega, s\n1,2\n"})
+    for text in ("omega, t\n1,2\n", "omega, s\n1,2\n3,4\n"):
+        new = _outputs(tmp_path / f"new{len(text)}", {"a": text})
+        assert same_outputs.compare(old, new) == [
+            "a.csv: the table's header or shape changed"
+        ]
