@@ -12,13 +12,14 @@ zeros. Each CSV gets a JSON sidecar holding every input parameter, gamma
 included, the convention tags and the carrier/dephasing values, so any
 number in the table can be recomputed from the sidecar alone.
 
-Only the transition and the drive fix the atomic part of a point: the
-generator, the steady state and the diffusion matrix, which make one
+`run_scenario` builds each point's pipeline inputs (`point_inputs`) once.
+Only the LevelScheme and the DriveConfig fix the atomic part of a point:
+the generator, the steady state and the diffusion matrix, which make one
 `propagation.Atoms` on the scenario's grid, and the oracle columns.
-`run_scenario` solves that part once for each run of consecutive points
-with equal [transition] and [drive] values, so a b0 or eps_p sweep solves
-it once. Each point then hands the shared Atoms to `propagate` with its
-own b0 and input matrix, and scales the oracle columns by b0 / 4.
+Consecutive points whose LevelScheme and DriveConfig are equal share that
+part, so a b0 or eps_p sweep solves it once. Each point then hands the
+shared Atoms to `propagate` with its own MediumParams and input matrix,
+and scales the oracle columns by b0 / 4.
 The pipeline is deterministic, with no randomness anywhere, so reruns are
 bit-identical.
 """
@@ -41,16 +42,10 @@ from .observables import (
 )
 from .oracles import mollow_spectrum, qrt_spectrum
 from .propagation import Atoms, propagate
-from .scenario import KEYS, PARAMETERS, mollow_applies, point_inputs
+from .scenario import PARAMETERS, mollow_applies, point_inputs
 
 OUTPUT_DIR_ENV = "ZEENOISE_OUT"
 DEFAULT_OUTPUT_DIR = "zeenoise-out"
-
-# The Scenario fields the atomic part of a point depends on; every point of
-# a scenario shares its grid and oracles.
-ATOMIC_KEYS = tuple(
-    key for section, key, _, _ in KEYS if section in ("transition", "drive")
-)
 
 
 def _inputs(point):
@@ -67,16 +62,15 @@ def _require_finite(kind, values):
             raise NumericalError(f"{kind} {name!r} holds a non-finite value")
 
 
-def solve_atoms(point):
-    """(Atoms, oracle columns) of a point, shared by every point with the
-    same ATOMIC_KEYS values.
+def solve_atoms(point, scheme, drive):
+    """(Atoms, oracle columns) of a point's `scheme` and `drive`; points
+    share them when their LevelScheme and DriveConfig are equal.
 
     The oracle columns map each column name, in [output] oracles order, to
     its values on |grid| per unit of b0 / 4: `qrt_opt_eC` is 2 Re of
     component C's regression spectrum, and `mollow_opt_e1` the two-level
     Mollow spectrum, or None (an empty column) unless `mollow_applies`.
     """
-    scheme, drive, _, _ = _inputs(point)
     liou = build_generator(scheme, drive)
     rho = steady_state(liou)
     atoms = Atoms(liou, rho, diffusion_matrix(liou, rho), point.grid.build())
@@ -95,13 +89,13 @@ def solve_atoms(point):
     return atoms, oracles
 
 
-def compute_point(scenario, atoms, oracles):
+def compute_point(scenario, medium, input_matrix, atoms, oracles):
     """(columns, metadata) of one effective scenario; a None column is empty.
 
-    `atoms` and `oracles` are the `solve_atoms` of a point with the same
-    ATOMIC_KEYS values; the oracle columns are scaled by b0 / 4 here.
+    `medium` and `input_matrix` are the point's own inputs, and `atoms` and
+    `oracles` the `solve_atoms` of its LevelScheme and DriveConfig; the
+    oracle columns are scaled by b0 / 4 here.
     """
-    _, _, medium, input_matrix = _inputs(scenario)
     out = propagate(input_matrix, medium, atoms)
     sidecar = {
         "carrier_e1": [out.carrier[1].real, out.carrier[1].imag],
@@ -171,18 +165,19 @@ def write_point(columns, metadata, out_dir, label):
 def run_scenario(scenario, out_dir):
     """Compute and write one table per scenario point; returns written paths.
 
-    A run of consecutive points with equal ATOMIC_KEYS values shares one
-    `solve_atoms`, dropped before the next run's is solved.
+    A run of consecutive points with equal LevelScheme and DriveConfig
+    shares one `solve_atoms`, dropped before the next run's is solved.
     """
     written = []
-    key = atoms = oracles = None
+    atoms = oracles = None
     for label, value, point in scenario.points():
+        scheme, drive, medium, input_matrix = _inputs(point)
         try:
-            point_key = tuple(getattr(point, k) for k in ATOMIC_KEYS)
-            if point_key != key:
+            if atoms is None or (atoms.scheme, atoms.drive) != (scheme, drive):
                 atoms = oracles = None  # free the previous run's arrays first
-                (atoms, oracles), key = solve_atoms(point), point_key
-            columns, metadata = compute_point(point, atoms, oracles)
+                atoms, oracles = solve_atoms(point, scheme, drive)
+            columns, metadata = compute_point(point, medium, input_matrix,
+                                              atoms, oracles)
         except (NumericalError, MemoryError) as exc:
             exc.args = (f"scenario point '{label}': {exc}",)
             raise

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from zeenoise import (
+    ArgumentError,
     DriveConfig,
     LevelScheme,
     NumericalError,
@@ -40,6 +41,18 @@ def test_hamiltonian_is_hermitian():
     for basis in (CIRC, LIN):
         h = hamiltonian(SCHEME, DriveConfig(basis=basis, rabi=0.7, detuning=1.3))
         assert np.allclose(h, h.conj().T, atol=1e-15)
+
+
+def test_build_generator_rejects_a_basis_that_is_not_a_polarization_mode():
+    drive = DriveConfig(basis="circular", rabi=1.0)
+    with pytest.raises(ArgumentError, match="drive.basis must be a PolarizationMode"):
+        build_generator(SCHEME, drive)
+
+
+@pytest.mark.parametrize("length", [2, 3, 5, 8, 15])
+def test_unvec_rejects_a_vector_of_non_square_length(length):
+    with pytest.raises(ValueError, match="unvec expects a square-length vector"):
+        unvec(np.arange(length))
 
 
 F_PAIRS = [(0.5, 1.5), (1, 1), (1, 2), (2, 1), (1.5, 1.5), (2, 3)]

@@ -28,7 +28,9 @@ from zeenoise import (
 from zeenoise.conventions import vec
 from zeenoise.propagation import Atoms, _pairs, atomic_response
 from zeenoise.runner import compute_point, run_scenario, solve_atoms
-from zeenoise.scenario import GridSpec, Scenario, SweepSpec, validate_scenario
+from zeenoise.scenario import (
+    GridSpec, Scenario, SweepSpec, point_inputs, validate_scenario,
+)
 
 from helpers import two_level_reference
 
@@ -176,7 +178,9 @@ def resolvent_calls(monkeypatch, grid):
         name="count", fg=1, fe=2, polarization="linear",
         rabi=1.0, detuning=0.0, b0=0.1, grid=grid,
     )
-    compute_point(scenario, *solve_atoms(scenario))
+    (scheme, drive, medium, input_matrix), _ = point_inputs(scenario)
+    compute_point(scenario, medium, input_matrix,
+                  *solve_atoms(scenario, scheme, drive))
     omegas = grid.build()
     assert np.array_equal(sorted(calls), np.unique(np.abs(omegas)))
     return calls
@@ -291,7 +295,9 @@ def test_compute_point_is_finite_or_raises_physics_error(
     if validate_scenario(scenario)[1]:
         return  # exit 2 before anything is solved
     try:
-        columns, _ = compute_point(scenario, *solve_atoms(scenario))
+        (scheme, drive, medium, input_matrix), _ = point_inputs(scenario)
+        columns, _ = compute_point(scenario, medium, input_matrix,
+                                   *solve_atoms(scenario, scheme, drive))
     except NumericalError:
         return
     for name, column in columns.items():

@@ -1,5 +1,7 @@
 """Scenario files, validation diagnostics, CLI behavior, output format."""
 
+import contextlib
+import io
 import json
 import warnings
 from dataclasses import replace
@@ -516,6 +518,116 @@ def test_valid_scenario_points_have_distinct_labels_inside_out(
     assert all((out / f"{label}.csv").parent == out for label in labels)
 
 
+# Whole scenario files for main(): a dipole-allowed pair with F <= 3, 2-5
+# grid points, values from 0 and 5e-324 up to 1.7e308 (with both signs
+# where a sign is meaningful), optional sweeps, every oracle, and in about
+# one file in four a malformed value.
+_HALVES = [k / 2 for k in range(7)]
+_MAGNITUDE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 0.1, 1.0, 1.7e308]),
+    st.floats(1e-3, 1e3),  # where most valid points compute
+    st.floats(5e-324, 1.7e308),
+)
+_SIGNED = st.tuples(_MAGNITUDE, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+_MALFORMED = st.sampled_from(["", "one", "1e999", "nan", "-inf", "1,,2", "0x1p3", "5%"])
+
+
+@st.composite
+def _scenario_files(draw):
+    """The text of one scenario file."""
+    fg, fe = draw(st.sampled_from(
+        [(g, e) for g in _HALVES for e in _HALVES if abs(g - e) in (0, 1) and e]
+    ))
+    spacing = draw(st.sampled_from(["log", "linear"]))
+    low, high = sorted((draw(_MAGNITUDE), draw(_MAGNITUDE)))
+    if spacing == "linear" and draw(st.booleans()):
+        low = -low
+    sections = {
+        "transition": {"fg": fg, "fe": fe},
+        "drive": {
+            "polarization": draw(st.sampled_from(["linear", "circular"])),
+            "rabi": draw(_MAGNITUDE),
+        },
+        "medium": {"b0": draw(_MAGNITUDE)},
+        "input": {},
+        "grid": {
+            "omega_min": low,
+            "omega_max": high,
+            "count": draw(st.integers(2, 5)),
+            "spacing": spacing,
+            "symmetrize": draw(st.booleans()),
+        },
+        "output": {
+            "oracles": " ".join(draw(st.lists(
+                st.sampled_from(["qrt", "mollow"]), unique=True
+            ))),
+            "quadrature": draw(st.one_of(st.just("amplitude"), _SIGNED)),
+        },
+    }
+    for section, key, values in (
+        ("drive", "detuning", _SIGNED),
+        ("input", "eps_a", _MAGNITUDE),
+        ("input", "eps_p", _MAGNITUDE),
+    ):
+        if draw(st.booleans()):
+            sections[section][key] = draw(values)
+    if draw(st.booleans()):
+        parameter = draw(st.sampled_from(["rabi", "detuning", "b0", "eps_p"]))
+        values = _SIGNED if parameter == "detuning" else _MAGNITUDE
+        sections["sweep"] = {
+            "parameter": parameter,
+            "values": " ".join(map(str, draw(st.lists(values, min_size=1, max_size=3)))),
+        }
+    if draw(st.integers(0, 3)) == 0:
+        section = draw(st.sampled_from(sorted(sections)))
+        keys = [k for k in sections[section] if k not in ("polarization", "spacing")]
+        if keys:
+            sections[section][draw(st.sampled_from(keys))] = draw(_MALFORMED)
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in sections.items()
+    )
+
+
+def _not_finite(constant):
+    raise ValueError(f"sidecar holds {constant}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_scenario_files())
+@example(text=GOOD)  # exit 0 with two tables
+@example(text=GOOD.replace("detuning = 0.25", "detuning = 1e170"))  # exit 3
+def test_any_scenario_file_ends_in_a_documented_exit(tmp_path_factory, text):
+    """main() ends every drawn scenario file with exit 0, 2, 3 or 4, never a
+    traceback: exit 2 writes nothing, exit 0 writes one finite table and one
+    sidecar that parses per scenario point, and exit 3 names its point."""
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.ini"
+    path.write_text(text)
+    out = path.parent / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = main(["run", str(path), "--out", str(out)])
+    err = stderr.getvalue()
+    assert rc in (0, 2, 3, 4), err
+    if rc == 2:
+        assert not out.exists(), err
+        return
+    labels = [label for label, _, _ in load_scenario(path).points()]
+    if rc == 3:
+        assert any(f"scenario point '{label}': " in err for label in labels), err
+    if rc == 0:
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{label}.{ext}" for label in labels for ext in ("csv", "json")
+        )
+        for label in labels:
+            header, *rows = (out / f"{label}.csv").read_text().splitlines()
+            fields = [f for row in rows for f in row.split(",") if f]
+            assert rows and all(np.isfinite(float(f)) for f in fields), label
+            sidecar = json.loads(
+                (out / f"{label}.json").read_text(), parse_constant=_not_finite
+            )
+            assert sidecar["columns"] == header.split(", ")
+
 NOSWEEP = """
 [transition]
 fg = 1
@@ -913,12 +1025,15 @@ class TestCli:
          "rejected.ini: [DEFAULT] detuning: unknown section"),
         ("b0 = 0.1", "b0 = 0.1\n\n[input]\neps_a = 1e308\neps_p = 1e308",
          "input.eps_a + eps_p must be finite, got 1e+308 + 1e+308"),
+        ("fg = 1\nfe = 2", "fg = -1\nfe = 0", "transition: fg must be >= 0, got -1.0"),
+        ("count = 5", "count = 4.5",
+         "rejected.ini: [grid] count: expected an integer, got '4.5'"),
     ], ids=[
         "duplicate_oracle", "grid_span_overflow", "f_above_cap", "mixed_f_parity",
         "symmetrize_maybe",
         "zero_rabi_circular", "zero_rabi_linear", "zero_rabi_mollow", "zero_gamma",
         "gamma_2", "unknown_key", "unknown_section", "default_key",
-        "excess_noise_overflow",
+        "excess_noise_overflow", "negative_fg", "fractional_count",
     ])
     def test_rejected_input_exits_2_without_output(
         self, tmp_path, capsys, monkeypatch, old, new, message
@@ -1029,6 +1144,51 @@ def test_sweep_builds_one_generator_per_transition_and_drive(
     assert len(calls["qrt_spectrum"]) == 2 * builds
     # the Hamiltonian's driven operator, then each component's for the Atoms
     assert len(calls["operator"]) == 3 * builds
+
+
+@pytest.mark.parametrize("parameter, values, solves", [
+    ("b0", [0, 0.1, 0.3], 1),
+    ("eps_p", [0, 10, 100], 1),
+    ("rabi", [0.5, 1, 2], 3),
+    ("detuning", [-1, 0, 0.25], 3),
+])
+def test_points_share_atoms_exactly_when_scheme_and_drive_are_equal(
+    tmp_path, monkeypatch, parameter, values, solves
+):
+    """run_scenario solves the atoms once per run of points with equal
+    LevelScheme and DriveConfig, each time for that run's own pair: a b0 or
+    eps_p sweep solves once, a rabi or detuning sweep once per value."""
+    solved = []
+
+    def counting(scheme, drive, _original=runner.build_generator):
+        solved.append((scheme, drive))
+        return _original(scheme, drive)
+
+    monkeypatch.setattr(runner, "build_generator", counting)
+    scenario = load_scenario(write(tmp_path, swept(parameter, values)))
+    assert len(runner.run_scenario(scenario, tmp_path / "out")) == 2 * len(values)
+    pairs = [point_inputs(point)[0][:2] for _, _, point in scenario.points()]
+    assert solved == list(dict.fromkeys(pairs))
+    assert len(solved) == solves
+
+
+def test_run_scenario_raises_every_input_error_of_an_unvalidated_point(tmp_path):
+    """Skipping validation, run_scenario raises one ArgumentError holding
+    the message of every pipeline input that fails, and writes nothing."""
+    scenario = Scenario(
+        name="unchecked", fg=-1, fe=2, polarization="linear", rabi=-1.0,
+        detuning=0.0, b0=-0.5, grid=GridSpec(0.1, 2.0, 3), eps_p=-2.0,
+    )
+    out = tmp_path / "out"
+    with pytest.raises(ArgumentError) as raised:
+        runner.run_scenario(scenario, out)
+    assert str(raised.value) == (
+        "transition: fg must be >= 0, got -1; "
+        "drive.rabi must be >= 0, got -1.0; "
+        "medium.b0 must be >= 0, got -0.5; "
+        "input.eps_p must be >= 0, got -2.0"
+    )
+    assert not out.exists()
 
 
 def test_b0_sweep_writes_the_tables_of_one_scenario_per_value(
@@ -1200,7 +1360,8 @@ class TestPresets:
             s = load_scenario(p)
         for _, _, point in s.points():
             short = replace(point, grid=replace(point.grid, count=4))
-            column = runner.solve_atoms(short)[1]["mollow_opt_e1"]
+            scheme, drive, _, _ = point_inputs(short)[0]
+            column = runner.solve_atoms(short, scheme, drive)[1]["mollow_opt_e1"]
             assert column is not None and np.all(column > 0)
 
     def test_fig5_parameters(self):
