@@ -24,12 +24,12 @@ the conditioning screen and singular-matrix check on R(+|Omega|) also
 cover R(-|Omega|). The pair gives C(+|Omega|), then C(-|Omega|), each
 formed only on the rows S where a vectorized dipole operator is nonzero
 (114 of 1600 at F=9->10 linear), each the same BLAS row of
-(R . 2D) . R^T as in the full product. With x stacking dg and lo of every
-polarization component (lo and dg the vectorized dipole lowering operator
-and its adjoint), one small product x[:, S] . C[S, :] . x^T holds every
-projection; of each sign the step keeps, per component, dg C lo, lo C lo
-and dg C dg, and every grid point reads its four correlations from these
-six by its |Omega| and sign. No n^2 x n^2 kernel array is formed.
+(R . 2D) . R^T as in the full product. With x = (dg1, lo1, dg2, lo2)
+stacking dg and lo of both polarization components (lo and dg the
+vectorized dipole lowering operator and its adjoint), one small product
+x[:, S] . C[S, :] . x^T holds all 16 projections x_i^T C x_j of each sign,
+and every grid point reads its 4 x 4 pair at +-Omega by its |Omega| and
+sign. No n^2 x n^2 kernel array is formed.
 Against a second inversion at -|Omega| the mirror moves the preset tables
 by at most 5e-12 of a column maximum, inside the 1e-10 reference gate;
 reordering the products that form C[S, :] instead pushes fig2's
@@ -41,12 +41,13 @@ field fluctuations on the atoms is neglected, so the output spectral
 matrix is the input plus an atomic term linear in b0, with no input/force
 cross terms.
 
-The atomic term is assembled in normally ordered form,
+`propagate` alone maps the projections onto the atomic term, with k2 =
+b0/4 and dg and lo those of the component's own dipole D, normally ordered,
 
-    S11_at(Omega) = k2 * FT<dD+(t) dD(0)>(-Omega)
-    S22_at(Omega) = k2 * FT<dD+(t) dD(0)>(+Omega)
-    S12_at(Omega) = -k2 * FT<dD (t) dD(0)>(Omega)
-    S21_at(Omega) = -k2 * FT<dD+(t) dD+(0)>(Omega),      k2 = b0/4,
+    S11_at(Omega) =  k2 * dg^T C(-Omega) lo = k2 * FT<dD+(t) dD(0)>(-Omega)
+    S22_at(Omega) =  k2 * dg^T C(+Omega) lo = k2 * FT<dD+(t) dD(0)>(+Omega)
+    S12_at(Omega) = -k2 * lo^T C(Omega) lo  = -k2 * FT<dD (t) dD(0)>(Omega)
+    S21_at(Omega) = -k2 * dg^T C(Omega) dg  = -k2 * FT<dD+(t) dD+(0)>(Omega),
 
 the quadrature form in which squeezing appears as negativity of the added
 part while S11 - S22 (the commutator) passes through unchanged. The carrier
@@ -90,7 +91,6 @@ class OutputField:
     carrier: dict          # component -> complex mean amplitude
     phi: dict              # component -> dephasing angle (radians)
     spectra: dict          # component -> SpectralMatrix (arrays over grid)
-    atomic: dict           # component -> atomic contribution alone
 
 
 def _pairs(x):
@@ -142,8 +142,8 @@ class Atoms:
     component to its dipole lowering operator. The correlations are solved
     on first use, so a b0 = 0 point inverts no resolvent; otherwise one
     pass inverts one R(+|Omega|) per distinct |Omega|, forms the support
-    rows of C(+-|Omega|) and keeps six of their projections per component,
-    taken from one small product (see the module docstring).
+    rows of C(+-|Omega|) and keeps their 16 dipole projections, taken from
+    one small product (see the module docstring).
     """
 
     def __init__(self, liouvillian, rho, two_d, grid):
@@ -161,24 +161,20 @@ class Atoms:
 
     @cached_property
     def correlations(self):
-        """Component -> [dg C(-Omega) lo, lo C(Omega) lo, dg C(Omega) dg,
-        dg C(Omega) lo] as complex arrays over the grid, where lo and dg are
-        the vectorized dipole lowering operator and its adjoint; `propagate`
-        scales them into S11, S12, S21 and S22. x stacks dg and lo of every
-        component; forms[sign, k, i] holds component i's dg C lo, lo C lo
-        and dg C dg, picked from x[:, S] @ C[S, :] @ x.T with S the dipole
-        support, for C(+distinct[k]) at sign 0 and C(-distinct[k]) at 1."""
+        """(at, mirrored): complex (grid, 4, 4) arrays, at[w, i, j] =
+        x_i^T C(Omega_w) x_j and mirrored the same at -Omega_w, with x =
+        (dg1, lo1, dg2, lo2) as in the module docstring. forms[sign, k] is
+        x[:, S] @ C[S, :] @ x.T with S the dipole support, for
+        C(+distinct[k]) at sign 0 and C(-distinct[k]) at 1."""
         grid = self.grid
-        ops = self.operators.values()
-        x = np.stack([vec(v) for op in ops for v in (op.conj().T, op)])  # dg, lo, ...
+        x = np.stack([vec(v) for op in self.operators.values()
+                      for v in (op.conj().T, op)])  # dg1, lo1, dg2, lo2
         support = np.flatnonzero(np.abs(x).sum(axis=0))
-        row = 2 * np.arange(len(ops))[:, None]  # row of each component's dg in x
-        pick = (row + [0, 1, 0], row + [1, 1, 0])  # dg C lo, lo C lo, dg C dg
         n = self.scheme.n
         scratch = np.zeros((n * n, n * n), dtype=complex)  # -i w I - M, then 2D
         two_d = scratch.T  # column-major, as diffusion_matrix builds 2D
         distinct, where = np.unique(np.abs(grid), return_inverse=True)
-        forms = np.empty((2, distinct.size, len(ops), 3), dtype=complex)
+        forms = np.empty((2, distinct.size, len(x), len(x)), dtype=complex)
         for k, w in enumerate(distinct.tolist()):
             scratch.fill(0.0)
             scratch.put(*self.minus_drift_pairs)
@@ -189,12 +185,10 @@ class Atoms:
             r_minus = np.conjugate(swapped, order="C").reshape(r_plus.shape)
             for sign, (left, right) in enumerate(((r_plus, r_minus), (r_minus, r_plus))):
                 kernel = left[support] @ two_d @ right.T  # C(+-w)[S, :]
-                forms[sign, k] = (x[:, support] @ kernel @ x.T)[pick]
+                forms[sign, k] = x[:, support] @ kernel @ x.T
             del r_plus, r_minus, swapped, left, right, kernel  # freed before inverting
         plus = (grid < 0).astype(int)  # sign index of C(Omega); C(-Omega) has 1 - plus
-        return {c: [forms[1 - plus, where, i, 0], forms[plus, where, i, 1],
-                    forms[plus, where, i, 2], forms[plus, where, i, 0]]
-                for i, c in enumerate(self.operators)}
+        return forms[plus, where], forms[1 - plus, where]
 
 
 def propagate(input_matrix, medium, atoms):
@@ -214,18 +208,19 @@ def propagate(input_matrix, medium, atoms):
         raise ArgumentError("carrier update undefined at zero Rabi frequency")
 
     inputs = {1: input_matrix, 2: excess_noise_input(0.0, 0.0)}
-    out = OutputField(grid=grid, carrier={}, phi={}, spectra={}, atomic={})
-    for comp, op in atoms.operators.items():
+    out = OutputField(grid=grid, carrier={}, phi={}, spectra={})
+    for i, (comp, op) in enumerate(atoms.operators.items()):
         if b0 > 0:
-            c11, c12, c21, c22 = atoms.correlations[comp]
-            entries = (k2 * c11, -k2 * c12, -k2 * c21, k2 * c22)  # S11..S22
+            at, mirrored = atoms.correlations
+            dg, lo = 2 * i, 2 * i + 1  # this component's rows of x
+            entries = (k2 * mirrored[:, dg, lo], -k2 * at[:, lo, lo],
+                       -k2 * at[:, dg, dg], k2 * at[:, dg, lo])  # S11..S22
             mean_dipole = np.trace(atoms.rho @ op)
             chi = 0.5 * b0 * mean_dipole / drive.rabi
         else:
             entries = (np.zeros(grid.shape, dtype=complex) for _ in range(4))
             chi = 0.0j
-        out.atomic[comp] = SpectralMatrix(*entries)
-        out.spectra[comp] = inputs[comp] + out.atomic[comp]
+        out.spectra[comp] = inputs[comp] + SpectralMatrix(*entries)
         out.carrier[comp] = np.exp(1j * chi) if comp == 1 else 0.0j
         out.phi[comp] = float(chi.real)
     return out

@@ -11,7 +11,7 @@ A scenario collects everything one simulation run needs:
                  symmetrize = false          ; true mirrors to negative Omega
     [sweep]      parameter = rabi  values = 0.1 1 5   ; optional
     [output]     oracles = qrt mollow        ; optional extra columns
-                 quadrature = amplitude      ; or an angle in radians
+                 quadrature = amplitude      ; or an angle in [-pi, pi]
 
 Rates and frequencies are in units of gamma, which must be 1. On anything
 unparseable or not listed above `load_scenario` raises ScenarioError with
@@ -198,7 +198,10 @@ def _oracles(raw):
 
 def _quadrature(raw):
     word = _word(raw)
-    return None if word == "amplitude" else _finite(word)
+    theta = None if word == "amplitude" else _finite(word)
+    if theta is not None and abs(theta) > np.pi:  # theta counts mod pi
+        raise ValueError(f"expected an angle in [-pi, pi] radians, got {word!r}")
+    return theta
 
 
 _REQUIRED = object()

@@ -179,8 +179,8 @@ def test_fluctuation_spectra_match_regression_theorem(case, rabi, detuning):
         ])
     scale = np.abs(reference[1]).max()
     for comp in (1, 2):
-        atomic = out.atomic[comp]
-        got = np.array([atomic.s11, atomic.s12, atomic.s21, atomic.s22])
+        spectra = out.spectra[comp]  # the coherent input adds 1 to S11 only
+        got = np.array([spectra.s11 - 1.0, spectra.s12, spectra.s21, spectra.s22])
         diff = np.abs(got - reference[comp]).max(axis=1)
         assert diff.max() <= 1e-8 * scale, (
             f"mode {comp}: max deviation of S11, S12, S21, S22 {diff} "

@@ -184,6 +184,9 @@ count = 3
         text = GOOD.replace("quadrature = amplitude", "quadrature = 1.5708")
         s = load_scenario(write(tmp_path, text))
         assert s.quadrature_theta == pytest.approx(1.5708)
+        for end in (np.pi, -np.pi):  # the range is closed, as np.angle's is
+            text = GOOD.replace("quadrature = amplitude", f"quadrature = {end!r}")
+            assert load_scenario(write(tmp_path, text)).quadrature_theta == end
 
     @pytest.mark.parametrize("raw, expected", [
         ("true", True), ("yes", True), ("off", False),
@@ -868,22 +871,25 @@ class TestCli:
             expected = quadrature_noise(field.spectra[comp], 0.3)
             assert np.array_equal(table[:, header.index(f"s_x_e{comp}")], expected)
 
-    @pytest.mark.parametrize("old, new, message", [
-        ("oracles = qrt mollow", "quadrature = 1e308",
-         "quadrature spectrum has a non-negligible imaginary part (max |Im| = nan)"),
-    ], ids=["quadrature_1e308"])
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_table_exits_3_and_names_point(
-        self, tmp_path, capsys, old, new, message
+        self, tmp_path, capsys, monkeypatch
     ):
-        text = NOSWEEP.replace("polarization = circular", "polarization = linear")
-        scn = write(tmp_path, text.replace(old, new), name="huge.ini")
+        original = runner.quadrature_noise
+
+        def blown(*args):
+            return np.full_like(original(*args), np.nan)
+
+        monkeypatch.setattr(runner, "quadrature_noise", blown)
+        scn = write(tmp_path, NOSWEEP, name="huge.ini")
         out = tmp_path / "results"
         assert main(["validate", str(scn)]) == 0
         capsys.readouterr()
         assert main(["run", str(scn), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert f"physics failure: scenario point 'huge': {message}" in err
+        assert (
+            "physics failure: scenario point 'huge': column 's_x_e1' holds a "
+            "non-finite value" in err
+        )
         assert not out.exists()
 
     def test_memory_error_exits_3_and_names_point(
@@ -1028,12 +1034,16 @@ class TestCli:
         ("fg = 1\nfe = 2", "fg = -1\nfe = 0", "transition: fg must be >= 0, got -1.0"),
         ("count = 5", "count = 4.5",
          "rejected.ini: [grid] count: expected an integer, got '4.5'"),
+        ("oracles = qrt mollow", "quadrature = 1e308",
+         "rejected.ini: [output] quadrature: expected an angle in [-pi, pi] "
+         "radians, got '1e308'"),
     ], ids=[
         "duplicate_oracle", "grid_span_overflow", "f_above_cap", "mixed_f_parity",
         "symmetrize_maybe",
         "zero_rabi_circular", "zero_rabi_linear", "zero_rabi_mollow", "zero_gamma",
         "gamma_2", "unknown_key", "unknown_section", "default_key",
         "excess_noise_overflow", "negative_fg", "fractional_count",
+        "quadrature_1e308",
     ])
     def test_rejected_input_exits_2_without_output(
         self, tmp_path, capsys, monkeypatch, old, new, message

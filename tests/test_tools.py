@@ -20,15 +20,18 @@ tier1, mutants, same_outputs = _load("tier1"), _load("mutants"), _load("same_out
 EVEN, MULTIPLET = sorted(tier1.KNOWN_RED)
 
 
-def report(tmp_path, cases):
-    """A JUnit file with one testcase per (id, outcome child or None)."""
+def report(tmp_path, cases, seconds="2.5"):
+    """A JUnit file with one testcase per (id, outcome child or None), in
+    one testsuite that took `seconds`."""
     body = ""
     for test_id, child in cases:
         classname, name = test_id.split("::")
         inner = f"<{child}/>" if child else ""
         body += f'<testcase classname="{classname}" name="{name}">{inner}</testcase>'
     path = tmp_path / "junit.xml"
-    path.write_text(f"<testsuites><testsuite>{body}</testsuite></testsuites>")
+    path.write_text(
+        f'<testsuites><testsuite time="{seconds}">{body}</testsuite></testsuites>'
+    )
     return path
 
 
@@ -40,11 +43,13 @@ def test_exactly_the_known_reds_pass_the_verdict(tmp_path):
         (EVEN, "failure"),
         (MULTIPLET, "error"),
     ])
-    passed, red = tier1.outcomes(path)
-    assert (passed, red) == (2, {EVEN, MULTIPLET})
-    status, lines = tier1.verdict(passed, red)
+    passed, red, seconds = tier1.outcomes(path)
+    assert (passed, red, seconds) == (2, {EVEN, MULTIPLET}, 2.5)
+    status, lines = tier1.verdict(passed, red, seconds)
     assert status == 0
-    assert lines == ["tier-1: 2 passed, 2 failed or errored, exactly the known-reds"]
+    assert lines == [
+        "tier-1: 2 passed, 2 failed or errored in 2.5 s, exactly the known-reds"
+    ]
 
 
 def test_new_failure_and_fixed_known_red_are_named(tmp_path):
@@ -58,7 +63,16 @@ def test_new_failure_and_fixed_known_red_are_named(tmp_path):
     assert lines == [
         "new failure: tests.test_a::test_new",
         f"known-red now passes: {EVEN}",
-        "tier-1: 1 passed, 2 failed or errored, not the known-reds",
+        "tier-1: 1 passed, 2 failed or errored in 2.5 s, not the known-reds",
+    ]
+
+
+def test_verdict_line_gives_the_suite_time_pytest_measured(tmp_path):
+    """The wall time is the report's own testsuite `time`, rounded to 0.1 s."""
+    path = report(tmp_path, [(EVEN, "failure"), (MULTIPLET, "failure")], "30.05873")
+    assert tier1.outcomes(path)[2] == 30.05873
+    assert tier1.verdict(*tier1.outcomes(path))[1] == [
+        "tier-1: 0 passed, 2 failed or errored in 30.1 s, exactly the known-reds"
     ]
 
 

@@ -9,8 +9,9 @@ Runs the Tier-1 command of ROADMAP.md,
 from the repository root, with `--junitxml` into a temporary file, and
 reads the set of tests that failed or errored from it. Exits 0 only when
 that set is exactly KNOWN_RED; otherwise prints each new failure and each
-known-red that now passes, and exits 1. Needs only the standard library
-besides the suite's own dependencies.
+known-red that now passes, and exits 1. The verdict line also gives the
+suite's wall time as pytest measured it (the report's testsuite `time`).
+Needs only the standard library besides the suite's own dependencies.
 """
 
 import os
@@ -32,18 +33,21 @@ KNOWN_RED = {
 
 
 def outcomes(report):
-    """(passed count, set of failed-or-errored ids) of a JUnit XML file."""
+    """(passed count, set of failed-or-errored ids, suite seconds) of a
+    JUnit XML file."""
+    root = ET.parse(report).getroot()
+    seconds = sum(float(suite.get("time")) for suite in root.iter("testsuite"))
     passed, red = 0, set()
-    for case in ET.parse(report).getroot().iter("testcase"):
+    for case in root.iter("testcase"):
         test_id = f"{case.get('classname')}::{case.get('name')}"
         if case.find("failure") is not None or case.find("error") is not None:
             red.add(test_id)
         elif case.find("skipped") is None:
             passed += 1
-    return passed, red
+    return passed, red, seconds
 
 
-def verdict(passed, red):
+def verdict(passed, red, seconds):
     """(exit status, report lines) for the outcomes of one run."""
     new = sorted(red - KNOWN_RED.keys())
     fixed = sorted(KNOWN_RED.keys() - red)
@@ -51,7 +55,7 @@ def verdict(passed, red):
     lines += [f"known-red now passes: {test_id}" for test_id in fixed]
     status = 1 if new or fixed else 0
     lines.append(
-        f"tier-1: {passed} passed, {len(red)} failed or errored, "
+        f"tier-1: {passed} passed, {len(red)} failed or errored in {seconds:.1f} s, "
         + ("not the known-reds" if status else "exactly the known-reds")
     )
     return status, lines
