@@ -13,13 +13,15 @@ A scenario collects everything one simulation run needs:
     [output]     oracles = qrt mollow        ; optional extra columns
                  quadrature = amplitude      ; or an angle in [-pi, pi]
 
-Rates and frequencies are in units of gamma, which must be 1. On anything
-unparseable or not listed above `load_scenario` raises ScenarioError with
-file/section/key context; `validate_scenario` returns physical range
-problems as (warnings, errors), so `validate` can show them all at once.
+Rates and frequencies are in units of gamma, which must be 1. `load_scenario`
+only parses: it raises ScenarioError, naming file, section and key, on an
+unreadable file, bad syntax, a key missing or not listed above, or text that
+is not a number, integer or boolean. `validate_scenario` alone judges values,
+for any Scenario however built, and returns every problem as (warnings, errors).
 """
 
 import configparser
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Tuple
@@ -104,7 +106,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A full run configuration, as loaded from an INI scenario file."""
+    """A full run configuration, loaded from an INI file or built in code."""
 
     name: str
     fg: float
@@ -132,76 +134,37 @@ class Scenario:
         ]
 
 
-# Value parsers: each turns the raw INI string into a value, or raises
-# ValueError with the message the ScenarioError will carry.
-def _finite(raw):
-    try:
-        value = float(raw)
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise ValueError(f"expected a finite number, got {raw!r}")
-    return value
+# Value parsers: each turns the raw INI string into a value of its field's
+# type, or raises ValueError with the message the ScenarioError will carry.
+# Which values are allowed is for validate_scenario alone to judge.
+def _parser(convert, expected):
+    def parse(raw):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
 
-
-def _integer(raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {raw!r}") from None
-
-
-def _boolean(raw):
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError("expected a boolean") from None
+    return parse
 
 
 def _word(raw):
     return raw.strip().lower()
 
 
-def _one_of(key, choices):
-    def parse(raw):
-        value = _word(raw)
-        if value not in choices:
-            raise ValueError(f"{key} must be one of {choices}, got {value!r}")
-        return value
-
-    return parse
+def _listed(parse):
+    """A parser of a comma- or space-separated list of `parse` values."""
+    return lambda raw: tuple(map(parse, raw.replace(",", " ").split()))
 
 
-def _numbers(raw):
-    values = tuple(_finite(piece) for piece in raw.replace(",", " ").split())
-    if not values:
-        raise ValueError("expected at least one number")
-    return values
-
-
-def _name(raw):
-    name = raw.strip()
-    if name in ("", ".", "..") or set(name) & set("/\\\0"):
-        raise ValueError(f"expected a plain file name, got {name!r}")
-    return name
-
-
-def _oracles(raw):
-    names = tuple(token.lower() for token in raw.replace(",", " ").split())
-    for name in names:
-        if name not in _ORACLES:
-            raise ValueError(f"unknown oracle {name!r}; known: {_ORACLES}")
-    if len(set(names)) < len(names):
-        raise ValueError(f"an oracle is named twice in {names}")
-    return names
+_number = _parser(float, "a number")
+_integer = _parser(int, "an integer")
+_boolean = _parser(
+    lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "a boolean"
+)
 
 
 def _quadrature(raw):
-    word = _word(raw)
-    theta = None if word == "amplitude" else _finite(word)
-    if theta is not None and abs(theta) > np.pi:  # theta counts mod pi
-        raise ValueError(f"expected an angle in [-pi, pi] radians, got {word!r}")
-    return theta
+    return None if _word(raw) == "amplitude" else _number(raw)
 
 
 _REQUIRED = object()
@@ -212,25 +175,25 @@ _PARAMETER_SECTIONS = ("transition", "drive", "medium", "input")
 # be present, and so must its section unless that section is optional.
 # Keys are read in this order, so it is also the order errors are raised in.
 KEYS = (
-    ("transition", "fg", _finite, _REQUIRED),
-    ("transition", "fe", _finite, _REQUIRED),
-    ("transition", "gamma", _finite, 1.0),  # must be 1: Scenario.gamma
-    ("drive", "polarization", _one_of("polarization", _POLARIZATIONS), _REQUIRED),
-    ("drive", "rabi", _finite, _REQUIRED),
-    ("drive", "detuning", _finite, 0.0),
-    ("medium", "b0", _finite, _REQUIRED),
-    ("input", "eps_a", _finite, 0.0),
-    ("input", "eps_p", _finite, 0.0),
+    ("transition", "fg", _number, _REQUIRED),
+    ("transition", "fe", _number, _REQUIRED),
+    ("transition", "gamma", _number, 1.0),  # must be 1: Scenario.gamma
+    ("drive", "polarization", _word, _REQUIRED),
+    ("drive", "rabi", _number, _REQUIRED),
+    ("drive", "detuning", _number, 0.0),
+    ("medium", "b0", _number, _REQUIRED),
+    ("input", "eps_a", _number, 0.0),
+    ("input", "eps_p", _number, 0.0),
     ("grid", "symmetrize", _boolean, False),
-    ("grid", "omega_min", _finite, _REQUIRED),
-    ("grid", "omega_max", _finite, _REQUIRED),
+    ("grid", "omega_min", _number, _REQUIRED),
+    ("grid", "omega_max", _number, _REQUIRED),
     ("grid", "count", _integer, _REQUIRED),
-    ("grid", "spacing", _one_of("spacing", _SPACINGS), "log"),
-    ("sweep", "parameter", _one_of("parameter", _SWEEPABLE), _REQUIRED),
-    ("sweep", "values", _numbers, _REQUIRED),
+    ("grid", "spacing", _word, "log"),
+    ("sweep", "parameter", _word, _REQUIRED),
+    ("sweep", "values", _listed(_number), _REQUIRED),
     ("output", "quadrature", _quadrature, None),
-    ("output", "oracles", _oracles, ()),
-    ("scenario", "name", _name, None),  # None = the file stem
+    ("output", "oracles", _listed(_word), ()),
+    ("scenario", "name", str.strip, None),  # None = the file stem
 )
 
 # Each section's keys; any other section, [DEFAULT] included, takes none.
@@ -248,15 +211,11 @@ def _read(parser, path, section, key, parse, default):
         if default is not _REQUIRED:
             return default
         missing = "key" if parser.has_section(section) else "section"
-        raise ScenarioError(
-            f"missing required {missing}", path=path, section=section, key=key
-        )
+        raise ScenarioError(f"missing required {missing}", path, section, key)
     try:
         return parse(parser.get(section, key))
     except (configparser.Error, ValueError) as exc:
-        raise ScenarioError(
-            str(exc), path=path, section=section, key=key
-        ) from None
+        raise ScenarioError(str(exc), path, section, key) from None
 
 
 def load_scenario(path):
@@ -299,13 +258,54 @@ def load_scenario(path):
     )
 
 
-def validate_scenario(scenario):
-    """Check physical ranges. Returns (warnings, errors) as string lists.
+def _finite(value):
+    return isinstance(value, numbers.Real) and abs(value) < np.inf
 
-    The range rules are the pipeline constructors' own, run on every one of
-    `scenario.points()`, so a bad sweep value is caught before any compute.
+
+def _value_errors(scenario):
+    """An error naming section.key for each value outside its rule: the
+    rules that no pipeline constructor applies, for any Scenario."""
+    grid, sweep, theta = scenario.grid, scenario.sweep, scenario.quadrature_theta
+    name, oracles = scenario.name, tuple(scenario.oracles)
+    rules = [  # a key read as a number holds a finite one
+        (f"{section}.{key}", value, _finite(value), "a finite number")
+        for section, key, parse, _ in KEYS if parse is _number
+        for value in [getattr(grid if section == "grid" else scenario, key)]
+    ] + [
+        ("scenario.name", name, isinstance(name, str) and name not in ("", ".", "..")
+         and not set(name) & set("/\\\0"), "a plain file name"),
+        ("drive.polarization", scenario.polarization,
+         scenario.polarization in _POLARIZATIONS, f"one of {_POLARIZATIONS}"),
+        ("grid.count", grid.count, isinstance(grid.count, numbers.Integral),
+         "an integer"),
+        ("grid.spacing", grid.spacing, grid.spacing in _SPACINGS,
+         f"one of {_SPACINGS}"),
+        ("output.quadrature", theta, theta is None  # theta counts mod pi
+         or _finite(theta) and abs(theta) <= np.pi, "an angle in [-pi, pi] radians"),
+        ("output.oracles", oracles, set(oracles) <= set(_ORACLES)
+         and len(set(oracles)) == len(oracles), f"distinct names from {_ORACLES}"),
+    ]
+    if sweep is not None:
+        rules += [
+            ("sweep.parameter", sweep.parameter, sweep.parameter in _SWEEPABLE,
+             f"one of {_SWEEPABLE}"),
+            ("sweep.values", sweep.values, len(sweep.values) > 0
+             and all(map(_finite, sweep.values)), "one or more finite numbers"),
+        ]
+    return [f"{key} must be {rule}, got {value!r}"
+            for key, value, ok, rule in rules if not ok]
+
+
+def validate_scenario(scenario):
+    """(warnings, errors) of a Scenario however built, as string lists; it
+    raises nothing. Only once every value rule holds are `scenario.points()`
+    built and held to the pipeline constructors' own range rules, so a bad
+    sweep value is caught before any compute.
     """
-    warnings, errors, labelled = [], [], {}
+    errors = _value_errors(scenario)
+    if errors:
+        return [], errors
+    warnings, labelled = [], {}
     for label, value, point in scenario.points():
         if label in labelled:
             errors.append(

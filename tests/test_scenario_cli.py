@@ -33,7 +33,7 @@ from zeenoise import (
 from zeenoise import runner
 from zeenoise.cli import PRESET_GROUPS, main
 from zeenoise.propagation import Atoms
-from zeenoise.scenario import GridSpec, Scenario, point_inputs
+from zeenoise.scenario import GridSpec, Scenario, SweepSpec, point_inputs
 
 GOOD = """
 [scenario]
@@ -136,11 +136,12 @@ count = 3
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_number_names_section_and_key(self, tmp_path, raw):
+        """The loader reads any float; validation names the key it rejects."""
         text = GOOD.replace("b0 = 0.2", f"b0 = {raw}")
-        with pytest.raises(ScenarioError) as err:
-            load_scenario(write(tmp_path, text))
-        assert str(err.value).startswith(str(tmp_path / "scn.ini"))
-        assert "[medium] b0: expected a finite number" in str(err.value)
+        s = load_scenario(write(tmp_path, text))
+        assert validate_scenario(s) == (
+            [], [f"medium.b0 must be a finite number, got {float(raw)!r}"]
+        )
 
     def test_missing_section(self, tmp_path):
         text = GOOD.replace("[medium]\nb0 = 0.2\n", "")
@@ -150,13 +151,18 @@ count = 3
 
     def test_bad_polarization(self, tmp_path):
         text = GOOD.replace("polarization = linear", "polarization = radial")
-        with pytest.raises(ScenarioError):
-            load_scenario(write(tmp_path, text))
+        s = load_scenario(write(tmp_path, text))
+        assert validate_scenario(s)[1] == [
+            "drive.polarization must be one of ('circular', 'linear'), got 'radial'"
+        ]
 
     def test_unknown_oracle(self, tmp_path):
         text = GOOD.replace("oracles = qrt", "oracles = tarot")
-        with pytest.raises(ScenarioError):
-            load_scenario(write(tmp_path, text))
+        s = load_scenario(write(tmp_path, text))
+        assert validate_scenario(s)[1] == [
+            "output.oracles must be distinct names from ('qrt', 'mollow'), "
+            "got ('tarot',)"
+        ]
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -186,7 +192,9 @@ count = 3
         assert s.quadrature_theta == pytest.approx(1.5708)
         for end in (np.pi, -np.pi):  # the range is closed, as np.angle's is
             text = GOOD.replace("quadrature = amplitude", f"quadrature = {end!r}")
-            assert load_scenario(write(tmp_path, text)).quadrature_theta == end
+            s = load_scenario(write(tmp_path, text))
+            assert s.quadrature_theta == end
+            assert validate_scenario(s) == ([], [])
 
     @pytest.mark.parametrize("raw, expected", [
         ("true", True), ("yes", True), ("off", False),
@@ -277,9 +285,11 @@ class TestValidation:
         assert any("rabi" in w for w in warnings)
 
     def test_unknown_sweep_parameter(self, tmp_path):
-        with pytest.raises(ScenarioError) as err:
-            self.base(tmp_path, **{"parameter = rabi": "parameter = phase"})
-        assert "[sweep] parameter: parameter must be one of" in str(err.value)
+        s = self.base(tmp_path, **{"parameter = rabi": "parameter = phase"})
+        assert validate_scenario(s)[1] == [
+            "sweep.parameter must be one of ('rabi', 'detuning', 'b0', 'eps_p'), "
+            "got 'phase'"
+        ]
 
     def test_inverted_grid_bounds_is_error(self, tmp_path):
         s = self.base(tmp_path, **{"omega_min = 1e-3": "omega_min = 5.0"})
@@ -406,6 +416,52 @@ class TestValidation:
         assert main(["validate", str(scn)]) == 2
         assert main(["run", str(scn), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, changes, old, new", [
+        ("drive.polarization", {"polarization": "radial"},
+         "polarization = linear", "polarization = radial"),
+        ("sweep.parameter", {"sweep": SweepSpec("phase", (1.0,))},
+         "parameter = rabi", "parameter = phase"),
+        ("grid.count", {"grid": GridSpec(1e-3, 5.0, 2.5)}, "count = 7", "count = 2.5"),
+        ("grid.spacing", {"grid": GridSpec(1e-3, 5.0, 7, "cubic")},
+         "spacing = log", "spacing = cubic"),
+        ("output.oracles", {"oracles": ("foo",)}, "oracles = qrt", "oracles = foo"),
+        ("sweep.parameter", {"sweep": SweepSpec("fg", (1.0,))},
+         "parameter = rabi", "parameter = fg"),
+        ("drive.rabi", {"rabi": float("nan")}, "rabi = 0.5", "rabi = nan"),
+        ("output.quadrature", {"quadrature_theta": 1e308},
+         "quadrature = amplitude", "quadrature = 1e308"),
+        ("scenario.name", {"name": "../escape"}, "name = demo", "name = ../escape"),
+        ("output.oracles", {"oracles": ("qrt", "qrt")},
+         "oracles = qrt", "oracles = qrt qrt"),
+        ("sweep.values", {"sweep": SweepSpec("rabi", ())},
+         "values = 0.5, 1.0", "values ="),
+        ("sweep.values", {"sweep": SweepSpec("rabi", (0.5, float("inf")))},
+         "values = 0.5, 1.0", "values = 0.5 inf"),
+    ], ids=[
+        "polarization", "sweep_parameter", "fractional_count", "spacing",
+        "unknown_oracle", "sweep_over_fg", "rabi_nan", "quadrature_1e308",
+        "escaping_name", "duplicate_oracle", "empty_values", "infinite_value",
+    ])
+    def test_value_rules_hold_for_a_scenario_built_in_code(
+        self, tmp_path, capsys, monkeypatch, key, changes, old, new
+    ):
+        """validate_scenario owns every value rule: a Scenario made with
+        dataclasses.replace gets one error naming section.key, and nothing
+        raises; the same value in a file makes `validate` and `run` exit 2
+        and write nothing."""
+        _, errors = validate_scenario(replace(self.base(tmp_path), **changes))
+        assert [error.split(" must be ")[0] for error in errors] == [key]
+
+        def no_build(*args):
+            raise AssertionError("build_generator was called")
+
+        monkeypatch.setattr(runner, "build_generator", no_build)
+        scn = write(tmp_path, GOOD.replace(old, new))  # over the base file
+        err = assert_rejected(scn, tmp_path / "nest" / "out", capsys)
+        section, name = key.split(".")
+        assert f": {key} must be " in err or f"[{section}] {name}: " in err
+        assert [p.name for p in tmp_path.rglob("*")] == [scn.name]
 
 
 _BOUND = st.one_of(
@@ -971,17 +1027,19 @@ class TestCli:
         scn = write(tmp_path, text, name="negsweep.ini")
         assert_rejected(scn, tmp_path / "results", capsys)
 
-    @pytest.mark.parametrize("text", [
-        NOSWEEP.replace("b0 = 0.1", "b0 = nan"),
-        NOSWEEP.replace("b0 = 0.1", "b0 = inf"),
-        NOSWEEP.replace("rabi = 1.0", "rabi = nan"),
-        GOOD.replace("values = 0.5, 1.0", "values = 0.5 nan"),
+    @pytest.mark.parametrize("text, message", [
+        (NOSWEEP.replace("b0 = 0.1", "b0 = nan"), "medium.b0 must be a finite number"),
+        (NOSWEEP.replace("b0 = 0.1", "b0 = inf"), "medium.b0 must be a finite number"),
+        (NOSWEEP.replace("rabi = 1.0", "rabi = nan"),
+         "drive.rabi must be a finite number"),
+        (GOOD.replace("values = 0.5, 1.0", "values = 0.5 nan"),
+         "sweep.values must be one or more finite numbers, got (0.5, nan)"),
     ], ids=["b0_nan", "b0_inf", "rabi_nan", "sweep_nan"])
-    def test_non_finite_value_exits_2_without_output(self, tmp_path, capsys, text):
+    def test_non_finite_value_exits_2_without_output(
+        self, tmp_path, capsys, text, message
+    ):
         scn = write(tmp_path, text, name="nonfinite.ini")
-        assert "expected a finite number" in assert_rejected(
-            scn, tmp_path / "results", capsys
-        )
+        assert message in assert_rejected(scn, tmp_path / "results", capsys)
 
     def test_validate_broken_exits_2(self, tmp_path, capsys):
         text = NOSWEEP.replace("b0 = 0.1", "b0 = -2")
@@ -1003,7 +1061,9 @@ class TestCli:
         assert main(["run"]) == 2
 
     @pytest.mark.parametrize("old, new, message", [
-        ("oracles = qrt mollow", "oracles = qrt mollow qrt", "[output] oracles: "),
+        ("oracles = qrt mollow", "oracles = qrt mollow qrt",
+         "output.oracles must be distinct names from ('qrt', 'mollow'), "
+         "got ('qrt', 'mollow', 'qrt')"),
         (
             "omega_min = 0.1\nomega_max = 2.0",
             "omega_min = -1e308\nomega_max = 1e308\nspacing = linear",
@@ -1035,8 +1095,8 @@ class TestCli:
         ("count = 5", "count = 4.5",
          "rejected.ini: [grid] count: expected an integer, got '4.5'"),
         ("oracles = qrt mollow", "quadrature = 1e308",
-         "rejected.ini: [output] quadrature: expected an angle in [-pi, pi] "
-         "radians, got '1e308'"),
+         "error: rejected: output.quadrature must be an angle in [-pi, pi] "
+         "radians, got 1e+308"),
     ], ids=[
         "duplicate_oracle", "grid_span_overflow", "f_above_cap", "mixed_f_parity",
         "symmetrize_maybe",
@@ -1062,14 +1122,16 @@ class TestCli:
         ("[grid]\nomega_min = 1e-3\nomega_max = 5.0\ncount = 7\nspacing = log\n", "",
          "[grid] omega_min: missing required section"),
         ("parameter = rabi", "parameter = phase",
-         "[sweep] parameter: parameter must be one of"),
-        ("values = 0.5, 1.0", "values =", "[sweep] values: expected at least one"),
-        ("name = demo", "name = ../escaped", "[scenario] name: expected a plain"),
-        ("name = demo", "name = {tmp}/abs/evil", "[scenario] name: expected a plain"),
-        ("name = demo", "name = a\\b", "[scenario] name: expected a plain"),
-        ("name = demo", "name = ..", "[scenario] name: expected a plain"),
-        ("name = demo", "name =", "[scenario] name: expected a plain"),
-        ("name = demo", "name = a\0b", "[scenario] name: expected a plain"),
+         "sweep.parameter must be one of ('rabi', 'detuning', 'b0', 'eps_p')"),
+        ("values = 0.5, 1.0", "values =",
+         "sweep.values must be one or more finite numbers, got ()"),
+        ("name = demo", "name = ../escaped",
+         "scenario.name must be a plain file name, got '../escaped'"),
+        ("name = demo", "name = {tmp}/abs/evil", "scenario.name must be a plain"),
+        ("name = demo", "name = a\\b", "scenario.name must be a plain"),
+        ("name = demo", "name = ..", "scenario.name must be a plain"),
+        ("name = demo", "name =", "scenario.name must be a plain"),
+        ("name = demo", "name = a\0b", "scenario.name must be a plain"),
         (
             "parameter = rabi\nvalues = 0.5, 1.0",
             "parameter = b0\nvalues = 0.1 0.1000001",

@@ -1,11 +1,16 @@
 """The tools: the Tier-1 verdict reads a JUnit report as documented, the
-mutation sweep names each site apart, and the output comparison names each
-file that differs."""
+mutation sweep names each site apart and runs on a copy of every tracked
+file without the known-reds, and the output comparison names each file
+that differs."""
 
 import importlib.util
+import re
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def _load(name):
@@ -97,6 +102,46 @@ def test_augmented_assignments_are_mutation_sites():
     ]
     index, _, apply = mutants.sites("g -= t\n")[0]
     assert mutants.mutant("g -= t\n", index, apply) == "g += t\n"
+
+
+def test_mutation_sweep_copies_every_tracked_file(tmp_path):
+    """The temporary copy holds each file `git ls-files` lists, tools/ and
+    perfbench/ included, and nothing untracked."""
+    root, copy = tmp_path / "repo", tmp_path / "copy"
+    tracked = ["README.md", "perfbench/reference/a.npz", "src/m.py", "tools/t.py"]
+    for name in tracked + ["untracked.txt"]:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(name)
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", *tracked], cwd=root, check=True)
+    copy.mkdir()
+    mutants.copy_tracked(root, copy)
+    copied = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+    assert copied == tracked
+    assert all((copy / name).read_text() == name for name in tracked)
+
+
+def test_each_mutant_run_deselects_exactly_the_known_reds(monkeypatch, tmp_path):
+    """pytest gets one --deselect node per known-red. Each names its test
+    function, and no other test starts with it, since --deselect matches
+    node id prefixes; so the unmutated copy passes all of `tests`."""
+    args = mutants.deselected()
+    assert args[::2] == ["--deselect"] * len(tier1.KNOWN_RED)
+    sources = "".join(p.read_text() for p in (ROOT / "tests").glob("test_*.py"))
+    for node in args[1::2]:
+        path, name = node.split("::")
+        assert f"\ndef {name}(" in (ROOT / path).read_text()
+        assert len(re.findall(rf"def {name}\w*\(", sources)) == 1
+    commands = []
+    monkeypatch.setattr(
+        mutants.subprocess, "run",
+        lambda command, **kwargs: commands.append(command) or SimpleNamespace(
+            returncode=0
+        ),
+    )
+    assert mutants.run_tests(tmp_path, ["tests"], None)[0] is False
+    [command] = commands
+    assert command[-len(args) - 1:] == [*args, "tests"]
 
 
 def _outputs(root, tables, sidecar="{}"):

@@ -1,9 +1,12 @@
 """Mutation sweep: which one-token changes to a module its tests miss.
 
     python3 tools/mutants.py src/zeenoise/oracles.py tests/test_oracles.py
+    python3 tools/mutants.py src/zeenoise/oracles.py tests    # all of Tier-1
 
-Copies `src/`, `tests/` and `pyproject.toml` into a temporary directory and
-never writes the worktree. Each mutant changes one site of the module:
+Copies every file that `git ls-files` lists (stage a new file first) into a
+temporary directory and never writes the worktree, so the tests that read
+`tools/` or `perfbench/` run there too. Each mutant changes one site of the
+module:
 
 - an arithmetic operator swapped (+ -, * /, // /, ** *), augmented
   assignments (`g -= t`) included;
@@ -16,13 +19,15 @@ never writes the worktree. Each mutant changes one site of the module:
 The mutated module is written back with `ast.unparse`, so comments and
 layout do not survive; the unmutated module goes through the same round
 trip first, and its tests must pass. Each mutant then runs pytest on the
-given test files, stopping at the first failure. A mutant survives when
+given test files, stopping at the first failure, with Tier-1's known-reds
+(`tools/tier1.py`'s KNOWN_RED) deselected. A mutant survives when
 they all pass; one that fails, errors or outlasts ten times the unmutated
 run is killed. Prints one line per mutant, `module:line:col: description`,
 and the counts; exits 1 if the unmutated run fails.
 """
 
 import ast
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -111,6 +116,30 @@ def mutant(source, index, apply):
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
+def deselected():
+    """pytest's --deselect arguments for the known-reds. Each is a module-level
+    test, so the JUnit id `tests.test_x::name` is node `tests/test_x.py::name`."""
+    spec = importlib.util.spec_from_file_location("tier1", ROOT / "tools" / "tier1.py")
+    tier1 = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tier1)
+    args = []
+    for test_id in sorted(tier1.KNOWN_RED):
+        module, name = test_id.split("::")
+        args += ["--deselect", f"{module.replace('.', '/')}.py::{name}"]
+    return args
+
+
+def copy_tracked(root, copy):
+    """Copy every file `git ls-files` lists under `root` to `copy`."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z"], cwd=root, capture_output=True, check=True
+    ).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        if (root / name).is_file():  # not one deleted from the worktree
+            (copy / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, copy / name)
+
+
 def run_tests(copy, tests, timeout):
     """(killed, seconds) of one pytest run in the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -118,7 +147,7 @@ def run_tests(copy, tests, timeout):
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *tests],
+             *deselected(), *tests],
             cwd=copy, env=env, capture_output=True, timeout=timeout,
         )
     except subprocess.TimeoutExpired:
@@ -129,12 +158,9 @@ def run_tests(copy, tests, timeout):
 def sweep(module, tests):
     """Print each mutant's fate and the counts; returns the exit status."""
     source = (ROOT / module).read_text()
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch)
-        for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        copy_tracked(ROOT, copy)
         target = copy / module
         target.write_text(ast.unparse(ast.parse(source)) + "\n")
         killed, seconds = run_tests(copy, tests, None)

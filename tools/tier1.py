@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Test id (as in the JUnit report) -> why it is red; see README, Tests.
 KNOWN_RED = {
     "tests.test_acceptance::test_optical_spectrum_is_even_in_frequency":
-        "pinned draw: the steady state's slow-pumping round-off (ROADMAP item 12)",
+        "pinned draw: the steady state's slow-pumping round-off (ROADMAP item 3)",
     "tests.test_acceptance::test_strong_linear_drive_multiplet_counts":
         "the two sideband families blend at rabi = 5 gamma (ROADMAP aim 3)",
 }
