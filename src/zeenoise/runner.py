@@ -12,7 +12,8 @@ zeros. Each CSV gets a JSON sidecar holding every input parameter, gamma
 included, the convention tags and the carrier/dephasing values, so any
 number in the table can be recomputed from the sidecar alone.
 
-`run_scenario` builds each point's pipeline inputs (`point_inputs`) once.
+`run_scenario` runs only what `validate_scenario` accepts, and builds each
+point's pipeline inputs (`point_inputs`) once.
 Only the LevelScheme and the DriveConfig fix the atomic part of a point:
 the generator, the steady state and the diffusion matrix, which make one
 `propagation.Atoms` on the scenario's grid, and the oracle columns.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .conventions import CONVENTIONS_VERSION, QUADRATURE_CONVENTIONS
 from .dynamics import build_generator, steady_state
-from .errors import ArgumentError, NumericalError
+from .errors import NumericalError, ScenarioError
 from .langevin import diffusion_matrix
 from .observables import (
     amplitude_quadrature_angle,
@@ -42,18 +43,10 @@ from .observables import (
 )
 from .oracles import mollow_spectrum, qrt_spectrum
 from .propagation import Atoms, propagate
-from .scenario import PARAMETERS, mollow_applies, point_inputs
+from .scenario import PARAMETERS, mollow_applies, point_inputs, validate_scenario
 
 OUTPUT_DIR_ENV = "ZEENOISE_OUT"
 DEFAULT_OUTPUT_DIR = "zeenoise-out"
-
-
-def _inputs(point):
-    """point_inputs(point), raising ArgumentError on any of its errors."""
-    inputs, errors = point_inputs(point)
-    if errors:
-        raise ArgumentError("; ".join(errors))
-    return inputs
 
 
 def _require_finite(kind, values):
@@ -165,13 +158,18 @@ def write_point(columns, metadata, out_dir, label):
 def run_scenario(scenario, out_dir):
     """Compute and write one table per scenario point; returns written paths.
 
-    A run of consecutive points with equal LevelScheme and DriveConfig
-    shares one `solve_atoms`, dropped before the next run's is solved.
+    A scenario that fails `validate_scenario`, however built, raises one
+    ScenarioError joining all its errors, and nothing is written. A run of
+    consecutive points with equal LevelScheme and DriveConfig shares one
+    `solve_atoms`, dropped before the next run's is solved.
     """
+    _, errors = validate_scenario(scenario)
+    if errors:
+        raise ScenarioError(f"scenario '{scenario.name}': " + "; ".join(errors))
     written = []
     atoms = oracles = None
     for label, value, point in scenario.points():
-        scheme, drive, medium, input_matrix = _inputs(point)
+        (scheme, drive, medium, input_matrix), _ = point_inputs(point)
         try:
             if atoms is None or (atoms.scheme, atoms.drive) != (scheme, drive):
                 atoms = oracles = None  # free the previous run's arrays first

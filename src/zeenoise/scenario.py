@@ -258,8 +258,9 @@ def load_scenario(path):
     )
 
 
-def _finite(value):
-    return isinstance(value, numbers.Real) and abs(value) < np.inf
+def _finite(value):  # a Python int can be finite beyond the float range
+    return isinstance(value, numbers.Real) and abs(value) < np.inf and (
+        not isinstance(value, int) or abs(value) <= float(np.finfo(float).max))
 
 
 def _value_errors(scenario):

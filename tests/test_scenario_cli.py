@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 from dataclasses import replace
 from importlib import resources
@@ -17,6 +18,7 @@ from zeenoise import (
     DriveConfig,
     LevelScheme,
     MediumParams,
+    NumericalError,
     PolarizationMode,
     ScenarioError,
     amplitude_quadrature_angle,
@@ -1214,8 +1216,9 @@ def test_sweep_builds_one_generator_per_transition_and_drive(
     assert len(runner.run_scenario(scenario, tmp_path / "out")) == 2 * len(values)
     assert len(calls["build_generator"]) == builds
     assert len(calls["qrt_spectrum"]) == 2 * builds
-    # the Hamiltonian's driven operator, then each component's for the Atoms
-    assert len(calls["operator"]) == 3 * builds
+    # the Hamiltonian's driven operator, then each component's for the
+    # Atoms, per build; and validation's dark-sublevel check once per point
+    assert len(calls["operator"]) == 3 * builds + len(values)
 
 
 @pytest.mark.parametrize("parameter, values, solves", [
@@ -1245,22 +1248,156 @@ def test_points_share_atoms_exactly_when_scheme_and_drive_are_equal(
 
 
 def test_run_scenario_raises_every_input_error_of_an_unvalidated_point(tmp_path):
-    """Skipping validation, run_scenario raises one ArgumentError holding
-    the message of every pipeline input that fails, and writes nothing."""
+    """Skipping validation, run_scenario raises one ScenarioError naming the
+    scenario and holding the message of every pipeline input that fails,
+    and writes nothing."""
     scenario = Scenario(
         name="unchecked", fg=-1, fe=2, polarization="linear", rabi=-1.0,
         detuning=0.0, b0=-0.5, grid=GridSpec(0.1, 2.0, 3), eps_p=-2.0,
     )
     out = tmp_path / "out"
-    with pytest.raises(ArgumentError) as raised:
+    with pytest.raises(ScenarioError) as raised:
         runner.run_scenario(scenario, out)
     assert str(raised.value) == (
+        "scenario 'unchecked': "
         "transition: fg must be >= 0, got -1; "
         "drive.rabi must be >= 0, got -1.0; "
         "medium.b0 must be >= 0, got -0.5; "
         "input.eps_p must be >= 0, got -2.0"
     )
     assert not out.exists()
+
+
+# Scenarios built in code for run_scenario: a dipole-allowed pair with
+# F <= 2, 2-5 grid points a side, optional sweeps, and in about three draws
+# of five one value outside its rule: a name that is not a plain file name,
+# an unknown polarization or a non-finite float.
+_F_PAIRS = [
+    (g / 2, e / 2) for g in range(5) for e in range(1, 5) if abs(g - e) in (0, 2)
+]
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+_FLOAT_KEYS = ("fg", "fe", "rabi", "detuning", "b0", "eps_a", "eps_p",
+               "quadrature_theta", "omega_min", "omega_max", "sweep")
+_PROBE = Scenario(
+    name="probe", fg=1, fe=2, polarization="linear", rabi=1.0, detuning=0.0,
+    b0=0.1, grid=GridSpec(0.1, 2.0, 3),
+)
+
+
+@st.composite
+def _coded_scenarios(draw):
+    """One Scenario, built without a file."""
+    spacing = draw(st.sampled_from(["log", "linear"]))
+    low = draw(st.floats(1e-3, 1.0))
+    grid = {
+        "omega_min": -low if spacing == "linear" and draw(st.booleans()) else low,
+        "omega_max": draw(st.floats(2.0, 10.0)),
+        "count": draw(st.integers(2, 5)),
+        "spacing": spacing,
+        "symmetrize": draw(st.booleans()),
+    }
+    fg, fe = draw(st.sampled_from(_F_PAIRS))
+    fields = {
+        "fg": fg,
+        "fe": fe,
+        "polarization": draw(st.sampled_from(["linear", "circular"])),
+        "rabi": draw(st.floats(0.1, 3.0)),
+        "detuning": draw(st.floats(-2.0, 2.0)),
+        "b0": draw(st.floats(0.0, 0.6)),
+        "eps_a": draw(st.floats(0.0, 5.0)),
+        "eps_p": draw(st.floats(0.0, 5.0)),
+        "oracles": tuple(draw(st.lists(
+            st.sampled_from(["qrt", "mollow"]), unique=True
+        ))),
+        "quadrature_theta": draw(st.one_of(
+            st.none(), st.floats(-math.pi, math.pi)
+        )),
+    }
+    sweep = None
+    if draw(st.booleans()):
+        sweep = SweepSpec(
+            draw(st.sampled_from(["rabi", "detuning", "b0", "eps_p"])),
+            tuple(draw(st.lists(
+                st.one_of(st.sampled_from([0.1, 0.1000001]), st.floats(0.1, 1.0)),
+                min_size=2, max_size=3,
+            ))),
+        )
+    fault = draw(st.sampled_from([None, None, "name", "polarization", "float"]))
+    name = "demo"
+    if fault == "name":
+        name = draw(st.sampled_from(["", "../x", "a/b"]))
+    elif fault == "polarization":
+        fields["polarization"] = "radial"
+    elif fault == "float":
+        key, bad = draw(st.sampled_from(_FLOAT_KEYS)), draw(st.sampled_from(_NON_FINITE))
+        if key in grid:
+            grid[key] = bad
+        elif key == "sweep":
+            sweep = SweepSpec("b0", (0.1, bad))
+        else:
+            fields[key] = bad
+    return Scenario(name=name, grid=GridSpec(**grid), sweep=sweep, **fields)
+
+
+def _replayed(sidecar):
+    """The one-point Scenario that a table's sidecar alone describes."""
+    parameters = {k: v for k, v in sidecar["parameters"].items() if k != "gamma"}
+    explicit = sidecar["quadrature_theta_source"] != "amplitude"
+    return Scenario(
+        name=sidecar["label"], **parameters, grid=GridSpec(**sidecar["grid"]),
+        oracles=tuple(sidecar["oracles"]),
+        quadrature_theta=sidecar["quadrature_theta"] if explicit else None,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenario=_coded_scenarios())
+@example(scenario=replace(_PROBE, name="../escape"))
+@example(scenario=replace(_PROBE, polarization="radial"))
+@example(scenario=replace(_PROBE, b0=math.nan))
+@example(scenario=replace(_PROBE, rabi=math.nan))
+@example(scenario=replace(_PROBE, detuning=math.inf))
+@example(scenario=replace(_PROBE, sweep=SweepSpec("b0", (0.1, 0.1000001))))
+@example(scenario=replace(_PROBE, b0=10**400))  # finite, but no float holds it
+def test_run_scenario_runs_only_what_validate_scenario_accepts(
+    tmp_path_factory, scenario
+):
+    """run_scenario on a Scenario built in code ends in one of three ways:
+    a rejected scenario raises one ScenarioError joining validate_scenario's
+    errors and writes nothing anywhere; an accepted one raises a
+    NumericalError naming its point, or returns distinct paths inside `out`
+    whose sidecars hold only finite numbers. Each table is then rebuilt from
+    its sidecar alone: the replay writes the same CSV bytes and the same
+    sidecar, sweep fields aside."""
+    root = tmp_path_factory.mktemp("coded")
+    out = root / "out"
+    _, errors = validate_scenario(scenario)
+    try:
+        paths = runner.run_scenario(scenario, out)
+    except ScenarioError as exc:
+        assert errors
+        assert str(exc) == f"scenario '{scenario.name}': " + "; ".join(errors)
+        assert list(root.iterdir()) == []
+        return
+    except NumericalError as exc:
+        assert not errors, errors
+        labels = [label for label, _, _ in scenario.points()]
+        assert any(f"scenario point '{label}': " in str(exc) for label in labels)
+        return
+    assert not errors, errors
+    assert len(set(paths)) == len(paths)
+    assert {p.resolve().parent for p in paths} == {out.resolve()}
+    assert sorted(out.iterdir()) == sorted(paths)
+
+    for path in paths[1::2]:
+        sidecar = json.loads(path.read_text(), parse_constant=_not_finite)
+        replay = root / "replay"
+        [csv, json_path] = runner.run_scenario(_replayed(sidecar), replay)
+        assert csv.read_bytes() == path.with_suffix(".csv").read_bytes()
+        again = json.loads(json_path.read_text())
+        for meta in (sidecar, again):
+            meta.pop("sweep_parameter"), meta.pop("sweep_value")
+        assert again == sidecar
 
 
 def test_b0_sweep_writes_the_tables_of_one_scenario_per_value(
