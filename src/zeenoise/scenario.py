@@ -50,8 +50,8 @@ class GridSpec:
     symmetrize: bool = False  # mirror to negative frequencies
 
     def build(self):
-        # Near the float limit an intermediate may overflow; problems()
-        # rejects a grid that is not finite.
+        # Near the float limit an intermediate may overflow;
+        # validate_scenario rejects a grid that is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
             if self.spacing == "log":
                 grid = np.logspace(
@@ -62,40 +62,6 @@ class GridSpec:
         if self.symmetrize:
             grid = np.concatenate((-grid[::-1], grid))
         return grid
-
-    def problems(self):
-        """Range errors of this grid; it is built only once the rest pass."""
-        errors = []
-        if self.count < 2:
-            errors.append(f"grid.count must be >= 2, got {self.count}")
-        if self.count > MAX_GRID_COUNT:
-            errors.append(
-                f"grid.count must be <= {MAX_GRID_COUNT}, got {self.count}"
-            )
-        if self.spacing == "log" and self.omega_min <= 0:
-            errors.append(
-                f"grid.omega_min must be > 0 for log spacing, got {self.omega_min}"
-            )
-        if self.omega_min >= self.omega_max:
-            errors.append(
-                f"grid bounds are inverted: omega_min = {self.omega_min} >= "
-                f"omega_max = {self.omega_max}"
-            )
-        if errors:
-            return errors
-        grid = self.build()
-        if not np.all(np.isfinite(grid)):
-            errors.append(
-                f"grid bounds omega_min = {self.omega_min}, omega_max = "
-                f"{self.omega_max} overflow the {self.spacing} grid"
-            )
-        elif np.any(grid == 0):
-            errors.append(
-                "grid contains Omega = 0 (zero-frequency fluctuation "
-                "response is singular on the steady-state manifold); "
-                "shift the bounds or use an even count"
-            )
-        return errors
 
 
 @dataclass(frozen=True)
@@ -263,11 +229,24 @@ def _finite(value):  # a Python int can be finite beyond the float range
         not isinstance(value, int) or abs(value) <= float(np.finfo(float).max))
 
 
+def _choice(key, value, words):
+    """The rule that `value` is one of the strings `words`."""
+    return key, value, isinstance(value, str) and value in words, f"one of {words}"
+
+
 def _value_errors(scenario):
     """An error naming section.key for each value outside its rule: the
-    rules that no pipeline constructor applies, for any Scenario."""
+    rules that no pipeline constructor applies, for any Scenario. A rule
+    reads a value only once that value's own type or finiteness holds, and
+    the grid is built only once every other rule holds."""
     grid, sweep, theta = scenario.grid, scenario.sweep, scenario.quadrature_theta
-    name, oracles = scenario.name, tuple(scenario.oracles)
+    if not isinstance(grid, GridSpec):  # every later rule reads inside these
+        return [f"grid must be a GridSpec, got {grid!r}"]
+    if not (sweep is None or isinstance(sweep, SweepSpec)):
+        return [f"sweep must be None or a SweepSpec, got {sweep!r}"]
+    name, oracles, count = scenario.name, scenario.oracles, grid.count
+    low, high = grid.omega_min, grid.omega_max
+    counted = isinstance(count, numbers.Integral)
     rules = [  # a key read as a number holds a finite one
         (f"{section}.{key}", value, _finite(value), "a finite number")
         for section, key, parse, _ in KEYS if parse is _number
@@ -275,26 +254,45 @@ def _value_errors(scenario):
     ] + [
         ("scenario.name", name, isinstance(name, str) and name not in ("", ".", "..")
          and not set(name) & set("/\\\0"), "a plain file name"),
-        ("drive.polarization", scenario.polarization,
-         scenario.polarization in _POLARIZATIONS, f"one of {_POLARIZATIONS}"),
-        ("grid.count", grid.count, isinstance(grid.count, numbers.Integral),
-         "an integer"),
-        ("grid.spacing", grid.spacing, grid.spacing in _SPACINGS,
-         f"one of {_SPACINGS}"),
+        _choice("drive.polarization", scenario.polarization, _POLARIZATIONS),
+        ("grid.count", count, counted, "an integer"),
+        _choice("grid.spacing", grid.spacing, _SPACINGS),
+        ("grid.symmetrize", grid.symmetrize, isinstance(grid.symmetrize, bool),
+         "a boolean"),
         ("output.quadrature", theta, theta is None  # theta counts mod pi
          or _finite(theta) and abs(theta) <= np.pi, "an angle in [-pi, pi] radians"),
-        ("output.oracles", oracles, set(oracles) <= set(_ORACLES)
+        ("output.oracles", oracles, isinstance(oracles, (list, tuple))
+         and all(isinstance(oracle, str) and oracle in _ORACLES for oracle in oracles)
          and len(set(oracles)) == len(oracles), f"distinct names from {_ORACLES}"),
+        ("grid.count", count, not counted or count >= 2, ">= 2"),
+        ("grid.count", count, not counted or count <= MAX_GRID_COUNT,
+         f"<= {MAX_GRID_COUNT}"),
+        ("grid.omega_min", low, not _finite(low) or grid.spacing != "log"
+         or low > 0, "> 0 for log spacing"),
     ]
     if sweep is not None:
         rules += [
-            ("sweep.parameter", sweep.parameter, sweep.parameter in _SWEEPABLE,
-             f"one of {_SWEEPABLE}"),
-            ("sweep.values", sweep.values, len(sweep.values) > 0
-             and all(map(_finite, sweep.values)), "one or more finite numbers"),
+            _choice("sweep.parameter", sweep.parameter, _SWEEPABLE),
+            ("sweep.values", sweep.values, isinstance(sweep.values, (list, tuple))
+             and len(sweep.values) > 0 and all(map(_finite, sweep.values)),
+             "one or more finite numbers"),
         ]
-    return [f"{key} must be {rule}, got {value!r}"
-            for key, value, ok, rule in rules if not ok]
+    errors = [f"{key} must be {rule}, got {value!r}"
+              for key, value, holds, rule in rules if not holds]
+    if _finite(low) and _finite(high) and low >= high:
+        errors.append(f"grid bounds are inverted: omega_min = {low} >= "
+                      f"omega_max = {high}")
+    if errors:
+        return errors
+    built = grid.build()
+    if not np.all(np.isfinite(built)):
+        return [f"grid bounds omega_min = {low}, omega_max = {high} overflow "
+                f"the {grid.spacing} grid"]
+    if np.any(built == 0):
+        return ["grid contains Omega = 0 (zero-frequency fluctuation response "
+                "is singular on the steady-state manifold); shift the bounds "
+                "or use an even count"]
+    return []
 
 
 def validate_scenario(scenario):
@@ -317,8 +315,6 @@ def validate_scenario(scenario):
         (scheme, *_), point_errors = point_inputs(point)
         errors.extend(point_errors)
         _check_ranges(point, scheme, warnings, errors)
-
-    errors.extend(scenario.grid.problems())
 
     if "mollow" in scenario.oracles and not mollow_applies(scenario):
         warnings.append(
